@@ -1,26 +1,14 @@
-"""Benchmark: event-kernel fast path vs. legacy dispatch.
+"""Benchmark: event-kernel fast-path throughput.
 
-Unlike the figure benchmarks, these measure the *simulator*, not the
-paper: raw scheduler throughput on the frame-delivery storm (the
-pattern every link/switch/Longbow hop pays per frame) and a real
-fig05a regeneration run cold (cache bypassed), both with the fast path
-enabled and with :func:`repro.sim._legacy.legacy_dispatch` patching
-the pre-fast-path implementations back onto the same tree.
+Unlike the figure benchmarks, this measures the *simulator*, not the
+paper: raw scheduler throughput on the frame-delivery storm, the
+pattern every link/switch/Longbow hop pays per frame.
 
-The speedup assertions here are deliberately loose (CI boxes are
-noisy); the committed reference numbers live in ``BENCH_kernel.json``,
-regenerated with ``tools/bench_kernel.py``.
+The assertion here is a sanity floor, not a perf target (CI boxes are
+noisy); the committed reference numbers, with the frozen baseline of
+the original allocation-per-event dispatch, live in
+``BENCH_kernel.json``, regenerated with ``tools/bench_kernel.py``.
 """
-# repro-lint: disable-file=DET101 -- host-side benchmark: perf_counter times the real machine, not the simulation; determinism rules apply to sim code only
-
-import gc
-import time
-
-import pytest
-
-from repro.core.experiments import run_experiment
-from repro.sim import Simulator
-from repro.sim._legacy import legacy_dispatch
 
 from tools.bench_kernel import _DeliveryChains, _run_storm
 
@@ -36,34 +24,3 @@ def test_frame_storm_events_per_sec(benchmark):
     rate = benchmark.pedantic(_storm_best, rounds=1, iterations=1)
     benchmark.extra_info["events_per_sec"] = round(rate)
     assert rate > 100_000  # sanity floor, not a perf target
-
-
-def test_frame_storm_beats_legacy_dispatch():
-    """The fast path must clearly outrun the allocation-per-event
-    dispatch on its home turf (committed reference: ~2.1x)."""
-    fast = _storm_best()
-    with legacy_dispatch():
-        legacy = _storm_best()
-    assert fast > 1.25 * legacy
-
-
-def test_fig05a_cold_sweep_beats_legacy_dispatch(benchmark):
-    """Real figure regeneration, cache bypassed, both dispatch modes.
-
-    The committed reference speedups (BENCH_kernel.json) are 1.3-1.5x
-    on the WAN sweeps; assert only that fast mode is not slower, so a
-    noisy CI box cannot produce flaky failures.
-    """
-
-    def cold(exp_id="fig05a"):
-        gc.collect()
-        t0 = time.perf_counter()
-        run_experiment(exp_id, quick=True)
-        return time.perf_counter() - t0
-
-    fast = benchmark.pedantic(cold, rounds=1, iterations=1)
-    with legacy_dispatch():
-        legacy = cold()
-    benchmark.extra_info["fast_seconds"] = round(fast, 3)
-    benchmark.extra_info["legacy_seconds"] = round(legacy, 3)
-    assert fast < 1.1 * legacy

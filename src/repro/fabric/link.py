@@ -13,15 +13,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Protocol
 
-from ..sim import URGENT, PriorityStore, ReusableTimeout, Simulator
+from ..sim import URGENT, PriorityStore, Simulator
 from .packet import Frame
 
 __all__ = ["Link", "LinkEndpoint", "CUT_THROUGH_BYTES"]
-
-#: Kill switch for the pump's direct-continue inner loop, flipped only
-#: by :func:`repro.sim._legacy.legacy_dispatch` so benchmarks and the
-#: equivalence tests can measure the pre-fast-path behaviour.
-_FAST_PUMP = True
 
 #: Bytes a cut-through device latches before forwarding (one IB MTU
 #: packet + headers).  Endpoints with a truthy ``cut_through`` attribute
@@ -86,35 +81,17 @@ class _HalfLink:
         else:
             self._m_bytes = self._m_frames = None
             self._m_busy_us = self._m_qdelay = None
-        #: Mode selection, fixed at construction: with no metrics
-        #: registry attached the pump runs as a callback state machine
-        #: (:meth:`_next_frame` / :meth:`_on_entry` / :meth:`_finish`)
-        #: that produces the exact event trajectory of the generator —
-        #: one URGENT kick-off pop, one StoreGet pop and one
-        #: serialization pop per frame, at identical ``(time, priority,
-        #: seq)`` keys — without any generator resumes.  With metrics
-        #: the generator runs so queue-depth gauges, per-process resume
-        #: counters and queue-delay histograms keep their exact
-        #: historical trajectories.
-        self._fast = _FAST_PUMP and m is None
-        self._ser_wait = ReusableTimeout(sim)
-        if self._fast:
-            # Same heap key as Process.__init__'s kick-off event.
-            sim.call_at(0.0, self._next_frame, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._pump(), name=f"link:{name}")
+        # The pump is a callback state machine (:meth:`_next_frame` /
+        # :meth:`_on_entry` / :meth:`_finish`): one URGENT kick-off pop,
+        # then one StoreGet pop and one serialization pop per frame.
+        sim.call_at(0.0, self._next_frame, priority=URGENT,
+                    cancellable=False)
 
     def put(self, frame: Frame) -> None:
         self.queue.put((frame.priority, next(self._seq), frame,
                         self.sim.now))
 
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _pump() below step for step; every rng draw, counter
-    # update and scheduling call happens at the same simulated instant
-    # and consumes the same heap seq as the generator would, so fault
-    # trajectories and event counts stay byte-identical either way.
-
+    # -- pump ------------------------------------------------------------
     def _next_frame(self) -> None:
         queue = self.queue
         on_entry = self._on_entry
@@ -125,9 +102,9 @@ class _HalfLink:
                 return
             if on_entry(get._value):
                 return
-            # Instant drop (link flap): take the next frame now, same
-            # as the generator's ``continue`` — iterative, so a deep
-            # queue drained during a flap cannot blow the stack.
+            # Instant drop (link flap): take the next frame now —
+            # iteratively, so a deep queue drained during a flap cannot
+            # blow the stack.
 
     def _on_get(self, event) -> None:
         if not self._on_entry(event._value):
@@ -136,13 +113,18 @@ class _HalfLink:
     def _on_entry(self, entry) -> bool:
         """Start serializing one dequeued frame.  Returns False only on
         the instant-drop path (caller pulls the next frame)."""
-        _prio, _seq, frame, _enqueued_at = entry
+        _prio, _seq, frame, enqueued_at = entry
         faults = self.faults
         if faults is not None and faults.is_down(self.sim.now):
+            # Link flap, queue-drain semantics: the laser is off, so
+            # the frame vanishes instantly without occupying the wire.
             self.frames_dropped += 1
             faults.count_flap_drop()
             return False
         ser = frame.wire_bytes / self._eff_rate
+        if self._m_qdelay is not None:
+            self._m_qdelay.observe(self.sim.now - enqueued_at)
+            self._m_busy_us.inc(ser)
         if self.loss_rate and self.rng is not None \
                 and self.rng.random() < self.loss_rate:
             self.sim.call_at(ser, self._drop_after_busy, cancellable=False)
@@ -151,12 +133,15 @@ class _HalfLink:
             self.sim.call_at(ser, self._drop_after_busy, cancellable=False)
             return True
         if self.jitter_us and self.rng is not None:
+            # dispersion jitter delays delivery, not the wire
             extra = self.rng.uniform(0.0, self.jitter_us)
         else:
             extra = 0.0
         if faults is not None:
             extra += faults.extra_delay(self.sim.now)
         if getattr(self.endpoint, "cut_through", False):
+            # Hand off after one packet's worth of bytes; the wire
+            # stays busy for the full serialization.
             handoff = min(ser, CUT_THROUGH_BYTES / self._eff_rate)
             self._schedule_delivery(frame, handoff + self.delay_us + extra)
             self.sim.call_at(ser, self._finish, (frame, None),
@@ -181,57 +166,10 @@ class _HalfLink:
             self._schedule_delivery(frame, self.delay_us + extra)
         self.bytes_carried += frame.wire_bytes
         self.frames_carried += 1
+        if self._m_bytes is not None:
+            self._m_bytes.inc(frame.wire_bytes)
+            self._m_frames.inc()
         self._next_frame()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _pump(self):
-        queue = self.queue
-        ser_wait = self._ser_wait
-        while True:
-            entry = yield queue.get()
-            _prio, _seq, frame, enqueued_at = entry
-            faults = self.faults
-            if faults is not None and faults.is_down(self.sim.now):
-                # Link flap, queue-drain semantics: the laser is off, so
-                # the frame vanishes instantly without occupying the wire.
-                self.frames_dropped += 1
-                faults.count_flap_drop()
-                continue
-            ser = frame.wire_bytes / self._eff_rate
-            if self._m_qdelay is not None:
-                self._m_qdelay.observe(self.sim.now - enqueued_at)
-                self._m_busy_us.inc(ser)
-            if self.loss_rate and self.rng is not None \
-                    and self.rng.random() < self.loss_rate:
-                yield ser_wait.arm(ser)  # the wire was still busy
-                self.frames_dropped += 1
-                continue
-            if faults is not None and faults.should_drop(self.name):
-                yield ser_wait.arm(ser)  # the wire was still busy
-                self.frames_dropped += 1
-                continue
-            if self.jitter_us and self.rng is not None:
-                # dispersion jitter delays delivery, not the wire
-                extra = self.rng.uniform(0.0, self.jitter_us)
-            else:
-                extra = 0.0
-            if faults is not None:
-                extra += faults.extra_delay(self.sim.now)
-            if getattr(self.endpoint, "cut_through", False):
-                # Hand off after one packet's worth of bytes; the wire
-                # stays busy for the full serialization below.
-                handoff = min(ser, CUT_THROUGH_BYTES / self._eff_rate)
-                self._schedule_delivery(frame, handoff + self.delay_us
-                                        + extra)
-                yield ser_wait.arm(ser)
-            else:
-                yield ser_wait.arm(ser)
-                self._schedule_delivery(frame, self.delay_us + extra)
-            self.bytes_carried += frame.wire_bytes
-            self.frames_carried += 1
-            if self._m_bytes is not None:
-                self._m_bytes.inc(frame.wire_bytes)
-                self._m_frames.inc()
 
     def _schedule_delivery(self, frame: Frame, delay: float) -> None:
         # Jitter must never reorder frames (RC assumes FIFO wires):

@@ -4,8 +4,8 @@ One predicate, consulted by the runner twins before they arm any flow
 machinery.  Flow mode is *never* engaged when:
 
 * the mode is unset or ``"off"`` (packet fidelity is the default);
-* a metrics registry is attached to the simulator — per-event series
-  (queue depths, stall histograms) only exist in packet mode;
+* a metrics registry is attached to the simulator — per-frame series
+  (link queue delays, RC window stalls) only exist in packet mode;
 * a process-wide fault spec is active, or the fabric has an armed
   fault plan — loss/flap trajectories are packet-level by nature, and
   the equivalence argument only covers clean steady states.

@@ -1,10 +1,10 @@
 """Determinism & simulation-safety static analysis.
 
 Every replay guarantee in this reproduction — golden traces, cached
-parallel runs, seeded fault plans, the fast-vs-legacy equivalence
-proof — rests on code-level invariants (no wall clock, no unseeded
-randomness, no unordered iteration feeding the event loop, slotted
-hot-path records, fast/legacy patch parity).  This package turns those
+parallel runs, seeded fault plans, flow/packet equivalence — rests on
+code-level invariants (no wall clock, no unseeded randomness, no
+unordered iteration feeding the event loop, slotted hot-path records,
+cross-file parity).  This package turns those
 conventions into machine-checked rules; ``python -m repro.lint`` is
 wired into CI as a gate.
 
@@ -16,9 +16,10 @@ Rule families:
 * **SIM** — simulation safety: process generators yield events,
   callbacks are not generators, hot-path records declare
   ``__slots__``, no container mutation during its own iteration.
-* **PAR** — fast/legacy parity: :func:`repro.sim._legacy.legacy_dispatch`
-  patch targets must exist with matching signatures, and every
-  fast-pump module must keep its generator-mode twin.
+* **PAR** — cross-file parity: flow models read only real profile
+  fields and name their packet twins, backends implement the full
+  protocol surface, the harness times durations monotonically, and
+  every wire frame type has a fail-closed decode fixture.
 
 See ``python -m repro.lint --list-rules`` for the full table, and the
 README "Static analysis" section for suppression syntax.

@@ -71,7 +71,7 @@ def find_file(files: Dict[str, FileContext],
 
 
 def module_parts(rel: str) -> List[str]:
-    """``src/repro/sim/_legacy.py`` -> ``["repro", "sim", "_legacy"]``
+    """``src/repro/sim/core.py`` -> ``["repro", "sim", "core"]``
     (best effort: everything from the first ``repro`` component on)."""
     parts = rel[:-3].split("/") if rel.endswith(".py") else rel.split("/")
     if "repro" in parts:

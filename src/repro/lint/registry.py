@@ -6,8 +6,8 @@ Rules come in two scopes:
 * ``file`` rules get one :class:`~repro.lint.engine.FileContext` at a
   time and may only look at that file;
 * ``project`` rules run once per lint invocation over the whole file
-  set — the PAR family needs to compare ``repro/sim/_legacy.py``
-  against the modules it patches.
+  set — PAR303 needs to compare the flow models against
+  ``repro/calibration.py``.
 
 The ``LNT`` meta-rules are registered here too so they show up in
 ``--list-rules`` and can be ``--ignore``-d, but they are emitted by the

@@ -1,23 +1,14 @@
-"""PAR — fast/legacy and flow/packet parity rules.
+"""PAR — cross-file parity rules.
 
-PR 4's ordering-equivalence proof only means something while
-:func:`repro.sim._legacy.legacy_dispatch` actually swaps *current*
-entry points: if ``Simulator.call_at`` grows a parameter and the legacy
-shim does not, or a new fast-pump module never gets flipped, the
-equivalence test silently compares the fast path against a stale
-baseline.  These rules parse ``_legacy.py`` *and* the modules it
-patches, so the parity contract is re-checked on every lint run instead
-of rotting between benchmark refreshes.
-
-The flow-acceleration twins (``repro.flow``) carry the same rot risk
-in two new shapes.  Their analytic models recompute wire footprints
-and service times from :class:`repro.calibration.HardwareProfile`
-fields the packet layer uses implicitly — a renamed or retired field
-would silently evaluate wrong only in flow mode (PAR303).  And every
-flow twin declares which packet module it must stay in lockstep with
-via a ``PACKET_TWIN`` global; a twin without the pointer, or a pointer
-to a module that no longer exists, orphans the equivalence wall
-(PAR304).
+The flow-acceleration twins (``repro.flow``) can drift from the packet
+layer they shadow in two ways.  Their analytic models recompute wire
+footprints and service times from
+:class:`repro.calibration.HardwareProfile` fields the packet layer uses
+implicitly — a renamed or retired field would silently evaluate wrong
+only in flow mode (PAR303).  And every flow twin declares which packet
+module it must stay in lockstep with via a ``PACKET_TWIN`` global; a
+twin without the pointer, or a pointer to a module that no longer
+exists, orphans the equivalence wall (PAR304).
 
 The distributed wire protocol gets the same treatment: PAR307 reads
 ``repro/exp/protocol.py`` and requires every frame type listed in
@@ -27,8 +18,8 @@ that dict, so a new frame type cannot ship without a fail-closed
 decode test.
 
 All rules but one are ``project``-scope: they need the whole file set
-and locate their anchors by path suffix (``repro/sim/_legacy.py``,
-``repro/calibration.py``), which makes them equally happy on the real
+and locate their anchors by path suffix (``repro/calibration.py``,
+``repro/exp/protocol.py``), which makes them equally happy on the real
 tree and on test fixtures.  PAR306 is the ``file``-scope outlier: it
 polices the distributed harness (``repro/exp/``) itself, banning
 non-monotonic clocks from timeout/lease/backoff arithmetic so the
@@ -38,21 +29,18 @@ chaos and resume walls measure what they think they measure.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..engine import FileContext
 from ..project import (FUNC_NODES, ProjectIndex, find_file,
-                       frozenset_strings, global_assign, module_parts,
-                       resolve_imports)
+                       frozenset_strings, global_assign, resolve_imports)
 from ..registry import Rule, register
 from ..violations import Violation
 
-__all__ = ["LegacyPatchParity", "FastPumpLegacyTwin",
-           "ProfileAttrParity", "FlowPacketTwin",
+__all__ = ["ProfileAttrParity", "FlowPacketTwin",
            "BackendProtocolSurface", "MonotonicDurations",
            "FrameFixtureCoverage"]
 
-_LEGACY_SUFFIX = "repro/sim/_legacy.py"
 _EXP_PACKAGE = "repro/exp/"
 #: Clocks that jump on NTP slew/step or timezone churn.  Timeout,
 #: lease, backoff and heartbeat arithmetic in the distributed harness
@@ -77,7 +65,6 @@ _PACKET_PACKAGES = (("repro", "tcp"), ("repro", "verbs"),
 #: private aliases keep this module's call sites unchanged.
 _FUNC_NODES = FUNC_NODES
 _find_file = find_file
-_module_parts = module_parts
 _resolve_imports = resolve_imports
 
 
@@ -92,173 +79,6 @@ def _signature(fn: ast.AST) -> Tuple:
         tuple(arg.arg for arg in a.kwonlyargs),
         a.kwarg is not None,
     )
-
-
-def _class_method(ctx: FileContext, cls_name: str,
-                  attr: str) -> Optional[ast.AST]:
-    for node in ctx.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == cls_name:
-            for stmt in node.body:
-                if isinstance(stmt, _FUNC_NODES) and stmt.name == attr:
-                    return stmt
-            return None
-    return None
-
-
-def _has_class(ctx: FileContext, cls_name: str) -> bool:
-    return any(isinstance(n, ast.ClassDef) and n.name == cls_name
-               for n in ctx.tree.body)
-
-
-def _module_global(ctx: FileContext, name: str) -> bool:
-    for node in ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            if any(isinstance(t, ast.Name) and t.id == name
-                   for t in node.targets):
-                return True
-        elif (isinstance(node, ast.AnnAssign)
-              and isinstance(node.target, ast.Name)
-              and node.target.id == name):
-            return True
-    return False
-
-
-def _patch_assignments(legacy: FileContext):
-    """``Target.attr = value`` assignments inside ``legacy_dispatch``."""
-    for node in ast.walk(legacy.tree):
-        if not (isinstance(node, _FUNC_NODES)
-                and node.name == "legacy_dispatch"):
-            continue
-        for stmt in ast.walk(node):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            for target in stmt.targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)):
-                    yield stmt, target.value.id, target.attr, stmt.value
-
-
-@register
-class LegacyPatchParity(Rule):
-    id = "PAR301"
-    name = "legacy-patch-parity"
-    summary = ("every attribute legacy_dispatch patches must exist on "
-               "its target, with the shim matching the real signature")
-    scope = "project"
-
-    def check_project(self, files: Dict[str, FileContext],
-                      index: Optional[ProjectIndex] = None
-                      ) -> Iterator[Violation]:
-        legacy = _find_file(files, _LEGACY_SUFFIX)
-        if legacy is None:
-            return
-        imports = _resolve_imports(legacy)
-        local_funcs = {n.name: n for n in ast.walk(legacy.tree)
-                       if isinstance(n, _FUNC_NODES)}
-        for stmt, root, attr, value in _patch_assignments(legacy):
-            origin = imports.get(root)
-            if origin is None:
-                continue  # patching something local; not our contract
-            target_ctx = _find_file(files, "/".join(origin) + ".py")
-            if target_ctx is not None:
-                # Root is a module: the patched name must be a global.
-                if not _module_global(target_ctx, attr):
-                    yield self.violation(
-                        legacy, stmt,
-                        f"legacy_dispatch patches `{root}.{attr}` but "
-                        f"module {'.'.join(origin)} defines no global "
-                        f"{attr!r} — the flip is a no-op and the "
-                        f"equivalence proof tests nothing")
-                continue
-            # Root is a class imported from a module file.
-            mod_ctx = _find_file(files, "/".join(origin[:-1]) + ".py")
-            if mod_ctx is None:
-                continue  # target outside the lint set; nothing to check
-            cls_name = origin[-1]
-            if not _has_class(mod_ctx, cls_name):
-                continue
-            method = _class_method(mod_ctx, cls_name, attr)
-            if method is None:
-                yield self.violation(
-                    legacy, stmt,
-                    f"legacy_dispatch patches `{cls_name}.{attr}` but "
-                    f"{'.'.join(origin[:-1])}.{cls_name} defines no "
-                    f"method {attr!r} — the shim replaces nothing")
-                continue
-            shim = (local_funcs.get(value.id)
-                    if isinstance(value, ast.Name) else None)
-            if shim is None:
-                continue
-            if _signature(shim) != _signature(method):
-                yield self.violation(
-                    legacy, stmt,
-                    f"legacy shim for `{cls_name}.{attr}` has signature "
-                    f"{_signature(shim)!r} but the fast implementation "
-                    f"has {_signature(method)!r} — callers exercised "
-                    f"only under legacy_dispatch will diverge")
-
-
-@register
-class FastPumpLegacyTwin(Rule):
-    id = "PAR302"
-    name = "fast-pump-legacy-twin"
-    summary = ("every module with a _FAST_PUMP switch must be flipped "
-               "by legacy_dispatch and keep a generator-mode pump twin")
-    scope = "project"
-
-    def check_project(self, files: Dict[str, FileContext],
-                      index: Optional[ProjectIndex] = None
-                      ) -> Iterator[Violation]:
-        legacy = _find_file(files, _LEGACY_SUFFIX)
-        flipped: set = set()
-        if legacy is not None:
-            imports = _resolve_imports(legacy)
-            for _stmt, root, attr, _value in _patch_assignments(legacy):
-                if attr == "_FAST_PUMP" and root in imports:
-                    flipped.add("/".join(imports[root]) + ".py")
-        for rel in sorted(files):
-            ctx = files[rel]
-            if ctx.tree is None or rel.endswith(_LEGACY_SUFFIX):
-                continue
-            node = self._fast_pump_assign(ctx)
-            if node is None:
-                continue
-            if legacy is not None and not any(
-                    rel.endswith(sfx) for sfx in flipped):
-                yield self.violation(
-                    ctx, node,
-                    f"{rel} defines _FAST_PUMP but legacy_dispatch never "
-                    f"flips it — the fast-vs-legacy equivalence test "
-                    f"runs this pump in fast mode on both sides")
-            if not self._has_generator(ctx):
-                yield self.violation(
-                    ctx, node,
-                    f"{rel} defines _FAST_PUMP but contains no "
-                    f"generator-mode pump — there is no legacy twin "
-                    f"left to prove ordering equivalence against")
-
-    @staticmethod
-    def _fast_pump_assign(ctx: FileContext) -> Optional[ast.AST]:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "_FAST_PUMP"
-                    for t in node.targets):
-                return node
-        return None
-
-    @staticmethod
-    def _has_generator(ctx: FileContext) -> bool:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, _FUNC_NODES):
-                stack = list(ast.iter_child_nodes(node))
-                while stack:
-                    sub = stack.pop()
-                    if isinstance(sub, _FUNC_NODES + (ast.Lambda,)):
-                        continue
-                    if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                        return True
-                    stack.extend(ast.iter_child_nodes(sub))
-        return False
 
 
 def _flow_files(files: Dict[str, FileContext]) -> Iterator[FileContext]:

@@ -52,6 +52,8 @@ _PENDING = object()
 #: invoked as ``fn()``.
 _NO_ARG = object()
 
+_INF = float("inf")
+
 #: Filled in by :mod:`repro.obs.metrics` when the observability layer is
 #: imported: a zero-arg callable returning the process-wide default
 #: ``MetricsRegistry`` (or ``None``).  The kernel itself never imports
@@ -174,16 +176,16 @@ class Timeout(Event):
 class ReusableTimeout(Event):
     """A timeout event its owner re-arms instead of reallocating.
 
-    Generator pumps that sleep at most once per loop iteration (link
-    serialization, HCA send overhead, retransmit timers) previously
-    built a fresh :class:`Timeout` — one object plus one callback list —
-    per frame.  A ``ReusableTimeout`` is created once per pump and
-    re-armed after each trip through the event loop::
+    Processes that sleep at most once per loop iteration (retransmit
+    timers, TCP/SDP CPU and RTO waits) would otherwise build a fresh
+    :class:`Timeout` — one object plus one callback list — per sleep.
+    A ``ReusableTimeout`` is created once per process and re-armed
+    after each trip through the event loop::
 
         t = ReusableTimeout(sim)
         while True:
             ...
-            yield t.arm(serialization_us)
+            yield t.arm(delay_us)
 
     Scheduling behaviour is *identical* to ``Timeout`` (same heap entry,
     same sequence-number consumption point), so swapping one in cannot
@@ -550,7 +552,10 @@ class Simulator:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (or scheduled callback)."""
+        """Process exactly one event (or scheduled callback).
+
+        A debugging aid: metrics count only what :meth:`run` dispatches.
+        """
         if not self._queue:
             raise SimulationError("step() on empty event queue")
         t, _, _, event = heapq.heappop(self._queue)
@@ -558,9 +563,6 @@ class Simulator:
             raise SimulationError("event scheduled in the past")
         self._now = t
         self._event_count += 1
-        if self._m_events is not None:
-            self._m_events.inc()
-            self._m_qdepth.set(len(self._queue))
         if event.__class__ is _Callback:
             if event.active:
                 arg = event.arg
@@ -577,10 +579,13 @@ class Simulator:
         if not event._ok and not event._defused:
             raise event._value
 
-    def _dispatch_until(self, stop: Callable[[], bool]) -> None:
-        """No-metrics fast loop: :meth:`step` with the per-event metric
-        branches, defensive checks and method-call overhead hoisted out.
-        Runs until the queue drains or ``stop()`` goes true."""
+    def _dispatch(self, limit: float = _INF, stop=()) -> None:
+        """The dispatch loop behind every :meth:`run`: pop and run
+        events scheduled before ``limit`` until the queue drains or the
+        ``stop`` list becomes non-empty.  Locals are hoisted and the
+        body inlined, so a loop iteration costs no Python-level call
+        beyond the dispatched callback itself.  Metrics, when attached,
+        are recorded once on exit, never per event."""
         queue = self._queue
         pop = heapq.heappop
         no_arg = _NO_ARG
@@ -588,9 +593,7 @@ class Simulator:
         pool = self._cb_pool
         count = 0
         try:
-            while queue:
-                if stop():
-                    return
+            while queue and queue[0][0] < limit and not stop:
                 t, _, _, event = pop(queue)
                 self._now = t
                 count += 1
@@ -611,74 +614,9 @@ class Simulator:
                     raise event._value
         finally:
             self._event_count += count
-
-    def _dispatch_until_time(self, limit: float) -> None:
-        """:meth:`_dispatch_until` specialised for a numeric horizon: the
-        stop predicate is inlined (``queue[0][0] >= limit``), saving a
-        Python-level call per dispatched event on the hottest entry point
-        (``run(until=<number>)``, which every figure sweep drives)."""
-        queue = self._queue
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        cb_cls = _Callback
-        pool = self._cb_pool
-        count = 0
-        try:
-            while queue:
-                item = queue[0]
-                if item[0] >= limit:
-                    return
-                t, _, _, event = pop(queue)
-                self._now = t
-                count += 1
-                if event.__class__ is cb_cls:
-                    if event.active:
-                        arg = event.arg
-                        if arg is no_arg:
-                            event.fn()
-                        else:
-                            event.fn(arg)
-                    if event.recycle and len(pool) < 1024:
-                        pool.append(event)
-                    continue
-                callbacks, event.callbacks = event.callbacks, None
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self._event_count += count
-
-    def _run_all_fast(self) -> None:
-        """Drain the queue with no stop condition (the hottest loop)."""
-        queue = self._queue
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        cb_cls = _Callback
-        pool = self._cb_pool
-        count = 0
-        try:
-            while queue:
-                t, _, _, event = pop(queue)
-                self._now = t
-                count += 1
-                if event.__class__ is cb_cls:
-                    if event.active:
-                        arg = event.arg
-                        if arg is no_arg:
-                            event.fn()
-                        else:
-                            event.fn(arg)
-                    if event.recycle and len(pool) < 1024:
-                        pool.append(event)
-                    continue
-                callbacks, event.callbacks = event.callbacks, None
-                for cb in callbacks:
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self._event_count += count
+            if self._m_events is not None:
+                self._m_events.inc(count)
+                self._m_qdepth.set(len(queue))
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -694,30 +632,20 @@ class Simulator:
         leaving boundary events pending for the next ``run()`` call.
         The regression tests pin this, so rely on it.
 
-        The loop body is selected once here: with no metrics registry
-        attached the no-branch fast loop runs; an instrumented run goes
-        through :meth:`step` so every event updates the counters.
+        With a metrics registry attached, ``sim.events_processed``
+        grows by the number of events dispatched and ``sim.queue_depth``
+        samples the pending-event count once, as the call returns.
         """
-        fast = self._m_events is None
         if until is None:
-            if fast:
-                self._run_all_fast()
-            else:
-                while self._queue:
-                    self.step()
+            self._dispatch()
             return None
         if isinstance(until, Event):
-            if until.processed:
-                if until._ok:
-                    return until._value
-                raise until._value
             sentinel: list = []
-            until.callbacks.append(lambda e: sentinel.append(e))
-            if fast:
-                self._dispatch_until(sentinel.__len__)
+            if until.processed:
+                sentinel.append(until)
             else:
-                while self._queue and not sentinel:
-                    self.step()
+                until.callbacks.append(sentinel.append)
+            self._dispatch(stop=sentinel)
             if not sentinel:
                 raise SimulationError(
                     "event queue empty before awaited event triggered")
@@ -728,11 +656,6 @@ class Simulator:
         limit = float(until)
         if limit < self._now:
             raise ValueError(f"until={limit} is in the past (now={self._now})")
-        queue = self._queue
-        if fast:
-            self._dispatch_until_time(limit)
-        else:
-            while queue and queue[0][0] < limit:
-                self.step()
+        self._dispatch(limit)
         self._now = limit
         return None

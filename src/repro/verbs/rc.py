@@ -58,11 +58,6 @@ _KIND_BY_OPCODE = {Opcode.SEND: DATA,
                    Opcode.ATOMIC_FETCH_ADD: ATOMIC_REQ,
                    Opcode.ATOMIC_CMP_SWAP: ATOMIC_REQ}
 
-#: Kill switch for the callback-mode send pump, flipped only by
-#: :func:`repro.sim._legacy.legacy_dispatch` (see
-#: ``repro.fabric.link._FAST_PUMP``).
-_FAST_PUMP = True
-
 
 class RCQueuePair(QueuePair):
     """Reliable-connected queue pair."""
@@ -111,20 +106,15 @@ class RCQueuePair(QueuePair):
             self._m_stall_events = self._m_stall_us = self._m_retx = None
             self._m_wqe = self._m_bytes = None
             self._m_inflight_msgs = self._m_inflight_bytes = None
-        # One reusable timeout per pump: each has at most one sleep
-        # outstanding, so re-arming the same record is heap-identical
-        # to constructing a fresh Timeout per iteration.
-        self._send_wait = ReusableTimeout(sim)
+        # The retransmit timer has at most one sleep outstanding, so
+        # re-arming one record is heap-identical to a fresh Timeout.
         self._rtx_wait = ReusableTimeout(sim)
         self._pending_wr: Optional[WorkRequest] = None
-        # Callback-mode send pump when uninstrumented (same event
-        # trajectory as the generator, no resumes); the retransmit
-        # timer stays a generator either way — it fires rarely.
-        if _FAST_PUMP and m is None:
-            sim.call_at(0.0, self._next_wr, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._send_pump(), name=f"rcqp{self.qpn}.send")
+        self._stalled_at = 0.0
+        # Callback send pump (see repro.fabric.link); the retransmit
+        # timer stays a process — it fires rarely.
+        sim.call_at(0.0, self._next_wr, priority=URGENT,
+                    cancellable=False)
         self._timer_kick = Store(sim)
         sim.process(self._retransmit_timer(), name=f"rcqp{self.qpn}.rtx")
 
@@ -218,13 +208,9 @@ class RCQueuePair(QueuePair):
         self.post_send(wr)
         return wr
 
-    # -- sender ----------------------------------------------------------
-    # -- callback-mode send pump (no metrics) ---------------------------
-    # Mirrors _send_pump() step for step: one URGENT kick-off pop, one
-    # StoreGet pop per WR, one Event pop per window stall, one overhead
-    # pop per transmitted WR — at identical heap keys, no generator
-    # resumes.  The stall counters are metrics-only and the registry is
-    # absent here, so skipping them changes nothing observable.
+    # -- sender: the send pump -------------------------------------------
+    # One URGENT kick-off pop, then one StoreGet pop per WR, one Event
+    # pop per window stall and one overhead pop per transmitted WR.
 
     def _next_wr(self) -> None:
         backlog = self._send_backlog
@@ -237,7 +223,7 @@ class RCQueuePair(QueuePair):
             if on_wr(get._value):
                 return
             # WR flushed instantly (QP not RTS): drain the next one now,
-            # iteratively, like the generator's ``continue``.
+            # iteratively.
 
     def _on_wr_event(self, event) -> None:
         if not self._on_wr(event._value):
@@ -249,6 +235,9 @@ class RCQueuePair(QueuePair):
             self._flush(wr)
             return False
         if len(self._unacked) >= self.send_window:
+            if self._m_stall_events is not None:
+                self._m_stall_events.inc()
+                self._stalled_at = self.sim.now
             self._wait_window(wr)
             return True
         self.sim.call_at(self.profile.hca_send_overhead_us,
@@ -262,13 +251,17 @@ class RCQueuePair(QueuePair):
         self._window_free.callbacks.append(self._on_window_free)
 
     def _on_window_free(self, _event) -> None:
-        wr, self._pending_wr = self._pending_wr, None
+        wr = self._pending_wr
+        if (self.state is QPState.RTS
+                and len(self._unacked) >= self.send_window):
+            self._wait_window(wr)  # still full: the same stall goes on
+            return
+        self._pending_wr = None
+        if self._m_stall_us is not None:
+            self._m_stall_us.inc(self.sim.now - self._stalled_at)
         if self.state is not QPState.RTS:
             self._flush(wr)
             self._next_wr()
-            return
-        if len(self._unacked) >= self.send_window:
-            self._wait_window(wr)
             return
         self.sim.call_at(self.profile.hca_send_overhead_us,
                          self._post_overhead, wr, cancellable=False)
@@ -279,46 +272,13 @@ class RCQueuePair(QueuePair):
         entry = _TxEntry(wr, psn, self.sim.now)
         self._unacked[psn] = entry
         self._inflight_bytes += wr.size
+        if self._m_inflight_msgs is not None:
+            self._m_inflight_msgs.set(len(self._unacked))
+            self._m_inflight_bytes.set(self._inflight_bytes)
         self._transmit(entry)
         if len(self._unacked) == 1:
             self._timer_kick.put(None)  # wake the retransmit timer
         self._next_wr()
-
-    # -- generator-mode send pump (metrics / legacy dispatch) -----------
-    def _send_pump(self):
-        profile = self.profile
-        while True:
-            wr: WorkRequest = yield self._send_backlog.get()
-            if self.state is not QPState.RTS:
-                self._flush(wr)
-                continue
-            stalled_at = None
-            while len(self._unacked) >= self.send_window:
-                if stalled_at is None and self._m_stall_events is not None:
-                    stalled_at = self.sim.now
-                    self._m_stall_events.inc()
-                if self._window_free.processed or self._window_free.triggered:
-                    self._window_free = self.sim.event()
-                yield self._window_free
-                if self.state is not QPState.RTS:
-                    break
-            if stalled_at is not None:
-                self._m_stall_us.inc(self.sim.now - stalled_at)
-            if self.state is not QPState.RTS:
-                self._flush(wr)
-                continue
-            yield self._send_wait.arm(profile.hca_send_overhead_us)
-            psn = self._next_psn
-            self._next_psn += 1
-            entry = _TxEntry(wr, psn, self.sim.now)
-            self._unacked[psn] = entry
-            self._inflight_bytes += wr.size
-            if self._m_inflight_msgs is not None:
-                self._m_inflight_msgs.set(len(self._unacked))
-                self._m_inflight_bytes.set(self._inflight_bytes)
-            self._transmit(entry)
-            if len(self._unacked) == 1:
-                self._timer_kick.put(None)  # wake the retransmit timer
 
     def _transmit(self, entry: "_TxEntry") -> None:
         wr = entry.wr

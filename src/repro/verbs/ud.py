@@ -15,7 +15,7 @@ from typing import Any, Tuple
 from ..calibration import HardwareProfile
 from ..fabric.node import HCA
 from ..fabric.packet import Frame, wire_size
-from ..sim import URGENT, ReusableTimeout, Simulator, Store
+from ..sim import URGENT, Simulator, Store
 from .cq import CompletionQueue
 from .ops import Opcode, SendWR, WCStatus, WorkCompletion
 from .qp import QPState, QueuePair
@@ -23,11 +23,6 @@ from .qp import QPState, QueuePair
 __all__ = ["UDQueuePair"]
 
 UD_DATA = "ud_data"
-
-#: Kill switch for the callback-mode send pump, flipped only by
-#: :func:`repro.sim._legacy.legacy_dispatch` (see
-#: ``repro.fabric.link._FAST_PUMP``).
-_FAST_PUMP = True
 
 
 class UDQueuePair(QueuePair):
@@ -52,14 +47,9 @@ class UDQueuePair(QueuePair):
         else:
             self._m_msgs = self._m_bytes = None
             self._m_wqe = self._m_dropped = None
-        self._send_wait = ReusableTimeout(sim)
-        # Callback-mode pump when uninstrumented (same event trajectory
-        # as the generator, no resumes); see repro.fabric.link.
-        if _FAST_PUMP and m is None:
-            sim.call_at(0.0, self._next_send, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._send_pump(), name=f"udqp{self.qpn}.send")
+        # Callback send pump (see repro.fabric.link).
+        sim.call_at(0.0, self._next_send, priority=URGENT,
+                    cancellable=False)
 
     # -- send side -------------------------------------------------------
     def post_send(self, wr: SendWR) -> None:
@@ -77,10 +67,9 @@ class UDQueuePair(QueuePair):
         self.post_send(wr)
         return wr
 
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _send_pump() step for step; same event trajectory (one
-    # URGENT kick-off pop, one StoreGet pop and one overhead pop per
-    # datagram), no generator resumes.  See repro.fabric.link.
+    # -- send pump ---------------------------------------------------------
+    # One URGENT kick-off pop, then one StoreGet pop and one overhead
+    # pop per datagram.
 
     def _next_send(self) -> None:
         get = self._send_backlog.get()
@@ -107,6 +96,10 @@ class UDQueuePair(QueuePair):
             payload=wr)
         self.bytes_sent += wr.size
         self.messages_sent += 1
+        if self._m_msgs is not None:
+            self._m_msgs.inc()
+            self._m_bytes.inc(wr.size)
+            self._m_wqe.inc()
         self.sim.call_at(profile.hca_wire_latency_us,
                          self.hca.transmit, frame, cancellable=False)
         # Local completion: the datagram left the HCA; nobody waits
@@ -115,33 +108,6 @@ class UDQueuePair(QueuePair):
             wr.wr_id, Opcode.SEND, WCStatus.SUCCESS, wr.size,
             self.qpn, self.sim.now))
         self._next_send()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _send_pump(self):
-        profile = self.profile
-        while True:
-            wr: SendWR = yield self._send_backlog.get()
-            yield self._send_wait.arm(profile.hca_send_overhead_us)
-            dst_lid, dst_qpn = wr.remote
-            frame = Frame(
-                src_lid=self.hca.lid, dst_lid=dst_lid, size=wr.size,
-                wire_bytes=wire_size(wr.size, profile.ib_mtu,
-                                     profile.ud_packet_header),
-                kind=UD_DATA, src_qpn=self.qpn, dst_qpn=dst_qpn,
-                payload=wr)
-            self.bytes_sent += wr.size
-            self.messages_sent += 1
-            if self._m_msgs is not None:
-                self._m_msgs.inc()
-                self._m_bytes.inc(wr.size)
-                self._m_wqe.inc()
-            self.sim.call_at(profile.hca_wire_latency_us,
-                             self.hca.transmit, frame, cancellable=False)
-            # Local completion: the datagram left the HCA; nobody waits
-            # for the far end.
-            self.send_cq.push(WorkCompletion(
-                wr.wr_id, Opcode.SEND, WCStatus.SUCCESS, wr.size,
-                self.qpn, self.sim.now))
 
     # -- receive side -------------------------------------------------------
     def handle_frame(self, frame: Frame) -> None:

@@ -26,11 +26,6 @@ from ..sim import URGENT, Simulator, Store
 
 __all__ = ["Longbow", "LongbowPair"]
 
-#: Kill switch for the WAN pump's direct-continue inner loop, flipped
-#: only by :func:`repro.sim._legacy.legacy_dispatch` (see
-#: ``repro.fabric.link._FAST_PUMP``).
-_FAST_PUMP = True
-
 
 class Longbow:
     """One Longbow unit: IB port + WAN port, pass-through forwarding."""
@@ -61,19 +56,11 @@ class Longbow:
         self._m_overrun = None
         self._pool = profile.longbow_buffer_bytes
         self._pending_frame: Optional[Frame] = None
-        # Mode selection, same contract as the link pump: metrics-free
-        # runs drive the WAN port with a callback state machine that
-        # reproduces the generator's event trajectory exactly (one
-        # URGENT kick-off pop, one StoreGet pop per frame, one Event
-        # pop per credit wait); instrumented runs keep the generator so
-        # queue-depth gauges and resume counters stay on their
-        # historical trajectories.
-        self._fast = _FAST_PUMP and getattr(sim, "metrics", None) is None
-        if self._fast:
-            sim.call_at(0.0, self._next_wan_frame, priority=URGENT,
-                        cancellable=False)
-        else:
-            sim.process(self._wan_pump(), name=f"{name}.pump")
+        # The WAN port is driven by a callback state machine, like the
+        # link pump: one URGENT kick-off pop, one StoreGet pop per
+        # frame, one Event pop per credit wait.
+        sim.call_at(0.0, self._next_wan_frame, priority=URGENT,
+                    cancellable=False)
 
     # -- wiring ----------------------------------------------------------
     def attach_ib(self, link: Link) -> None:
@@ -120,10 +107,7 @@ class Longbow:
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"{self.name}: frame from unknown link")
 
-    # -- callback-mode pump (no metrics) --------------------------------
-    # Mirrors _wan_pump() step for step at identical simulated instants
-    # and heap seqs; see repro.fabric.link for the pattern.
-
+    # -- WAN pump ----------------------------------------------------------
     def _next_wan_frame(self) -> None:
         to_wan = self._to_wan
         on_frame = self._on_wan_frame
@@ -134,8 +118,7 @@ class Longbow:
                 return
             if on_frame(get._value):
                 return
-            # Frame forwarded instantly; pull the next one now, just as
-            # the generator's loop would.
+            # Frame forwarded instantly; pull the next one now.
 
     def _on_wan_get(self, event) -> None:
         if not self._on_wan_frame(event._value):
@@ -145,6 +128,9 @@ class Longbow:
         """Returns True when waiting on credit, False once forwarded."""
         if self.ingress_limit_bytes is not None:
             self._ingress_bytes -= frame.wire_bytes
+        # A frame larger than the whole pool streams through once the
+        # buffer is fully drained (packet-granular hardware never
+        # deadlocks on one big message).
         needed = min(frame.wire_bytes, self._pool)
         if self.credits < needed:
             self._pending_frame = frame
@@ -161,8 +147,7 @@ class Longbow:
         frame = self._pending_frame
         needed = min(frame.wire_bytes, self._pool)
         if self.credits < needed:
-            # Still short: queue another waiter, exactly like the
-            # generator's while-loop would.
+            # Still short: queue another waiter.
             waiter = self.sim.event()
             waiter.callbacks.append(self._on_credit)
             self._credit_waiters.append(waiter)
@@ -172,26 +157,6 @@ class Longbow:
         self.frames_forwarded += 1
         self._forward_after(frame, self.wan_link)
         self._next_wan_frame()
-
-    # -- generator-mode pump (metrics / legacy dispatch) ----------------
-    def _wan_pump(self):
-        pool = self._pool
-        to_wan = self._to_wan
-        while True:
-            frame = yield to_wan.get()
-            if self.ingress_limit_bytes is not None:
-                self._ingress_bytes -= frame.wire_bytes
-            # A frame larger than the whole pool streams through once the
-            # buffer is fully drained (packet-granular hardware never
-            # deadlocks on one big message).
-            needed = min(frame.wire_bytes, pool)
-            while self.credits < needed:
-                waiter = self.sim.event()
-                self._credit_waiters.append(waiter)
-                yield waiter
-            self.credits -= frame.wire_bytes
-            self.frames_forwarded += 1
-            self._forward_after(frame, self.wan_link)
 
     def _forward_after(self, frame: Frame, link: Link) -> None:
         self.sim.call_at(self.profile.longbow_forward_us, self._send_on,

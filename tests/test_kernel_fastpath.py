@@ -5,9 +5,9 @@ freelist recycling), :class:`ReusableTimeout`, the hardened
 ``Event.trigger``, ``run(until=<number>)`` boundary semantics,
 condition edge cases, the interrupt-vs-termination race, in-flight
 ``Link.set_delay`` behaviour — and the central equivalence claim: a
-busy WAN workload produces identical clocks, event counts and
-bandwidths with the fast path enabled and with the legacy
-allocation-per-event dispatch patched back in.
+busy WAN workload reproduces the clocks, event counts and bandwidths
+the original allocation-per-event dispatch produced, with and without
+a metrics registry attached.
 """
 
 import pytest
@@ -15,9 +15,9 @@ import pytest
 from repro.fabric import build_cluster_of_clusters
 from repro.fabric.link import Link
 from repro.fabric.packet import Frame
+from repro.obs import MetricsRegistry, use_registry
 from repro.sim import (URGENT, AllOf, AnyOf, ReusableTimeout,
                        SimulationError, Simulator)
-from repro.sim._legacy import legacy_dispatch
 from repro.verbs import perftest
 
 
@@ -265,8 +265,15 @@ def test_set_delay_spares_frames_already_past_serialization():
 
 
 # ---------------------------------------------------------------------------
-# Fast path vs legacy dispatch: whole-simulation equivalence
+# Whole-simulation equivalence with the original dispatch
 # ---------------------------------------------------------------------------
+
+#: What ``_busy_wan_workload`` produced under the original dispatch (an
+#: ``Event`` plus closure per scheduled action, a fresh ``Timeout`` per
+#: sleep, generator pumps, one ``step()`` call per event), recorded
+#: before that implementation was retired.
+ORIGINAL_DISPATCH = {"events": 4579, "clock": 500000.4,
+                     "bw": 985.5630413859469, "lat": 258.8679999999997}
 
 def _busy_wan_workload():
     """RC bandwidth then UD latency across a delayed Longbow WAN —
@@ -284,9 +291,13 @@ def _busy_wan_workload():
             "bw": bw, "lat": lat}
 
 
-def test_fast_and_legacy_dispatch_are_equivalent():
-    fast = _busy_wan_workload()
-    with legacy_dispatch():
-        legacy = _busy_wan_workload()
-    assert fast == legacy
-    assert fast["events"] > 3_000  # meaningfully busy, not a toy run
+@pytest.mark.parametrize("observed", [False, True],
+                         ids=["plain", "metrics"])
+def test_busy_wan_workload_matches_original_dispatch(observed):
+    if observed:
+        with use_registry(MetricsRegistry()):
+            got = _busy_wan_workload()
+    else:
+        got = _busy_wan_workload()
+    assert got == ORIGINAL_DISPATCH
+    assert got["events"] > 3_000  # meaningfully busy, not a toy run

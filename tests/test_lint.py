@@ -8,8 +8,8 @@ Four layers, mirroring the engine's own structure:
   mandatory-justification rejection, unknown-rule reporting;
 * engine plumbing — JSON report schema, selection expansion, exit
   codes, incremental cache reuse and invalidation;
-* the PAR family against intentionally broken ``_legacy`` fixture
-  trees, so the parity rules are proved to *fail* when parity rots.
+* the PAR family against intentionally broken fixture trees, so the
+  parity rules are proved to *fail* when parity rots.
 """
 
 import json
@@ -35,8 +35,7 @@ load_builtin_rules()
 FILE_RULES = ["DET101", "DET102", "DET103", "DET104", "DET105",
               "SIM201", "SIM202", "SIM203", "SIM204",
               "CON401", "CON402", "CON403", "CON404"]
-PAR_RULES = ["PAR301", "PAR302", "PAR303", "PAR304", "PAR305", "PAR306",
-             "PAR307"]
+PAR_RULES = ["PAR303", "PAR304", "PAR305", "PAR306", "PAR307"]
 WIRE_RULES = ["WIRE501", "WIRE502", "WIRE503", "WIRE504"]
 
 
@@ -64,9 +63,7 @@ def test_good_fixture_is_clean(rule):
         f"{rule} good fixture flagged: {report.violations}")
 
 
-@pytest.mark.parametrize("tree,rule", [("par301_bad", "PAR301"),
-                                       ("par302_bad", "PAR302"),
-                                       ("par303_bad", "PAR303"),
+@pytest.mark.parametrize("tree,rule", [("par303_bad", "PAR303"),
                                        ("par304_bad", "PAR304"),
                                        ("par305_bad", "PAR305"),
                                        ("par306_bad", "PAR306"),
@@ -80,24 +77,6 @@ def test_par_bad_tree_triggers_exactly_its_rule(tree, rule):
 def test_par_good_tree_is_clean():
     report = lint_paths(FIXTURES / "par_good", root=FIXTURES / "par_good")
     assert report.violations == []
-
-
-def test_par301_catches_both_rot_modes():
-    report = lint_paths(FIXTURES / "par301_bad",
-                        root=FIXTURES / "par301_bad", select=["PAR301"])
-    messages = "\n".join(v.message for v in report.violations)
-    assert "call_later" in messages          # patch of a missing method
-    assert "signature" in messages           # shim/fast signature drift
-    assert len(report.violations) == 2
-
-
-def test_par302_catches_unflipped_and_twinless_pump():
-    report = lint_paths(FIXTURES / "par302_bad",
-                        root=FIXTURES / "par302_bad", select=["PAR302"])
-    messages = "\n".join(v.message for v in report.violations)
-    assert "never" in messages and "flips" in messages
-    assert "generator-mode pump" in messages
-    assert len(report.violations) == 2
 
 
 def test_par303_names_the_missing_field():
@@ -194,7 +173,7 @@ def test_par307_silent_without_protocol_in_lint_set(tmp_path):
 
 def test_at_least_eight_rules_have_fixture_coverage():
     # The acceptance bar: >= 8 distinct rules demonstrably catch their
-    # bad fixture.  13 file rules + 11 project rules are covered above.
+    # bad fixture.  13 file rules + 9 project rules are covered above.
     assert len(FILE_RULES) + len(PAR_RULES) + len(WIRE_RULES) >= 8
 
 
@@ -576,6 +555,8 @@ def test_cli_list_rules(tmp_path):
     for rid in (FILE_RULES + PAR_RULES + WIRE_RULES
                 + ["LNT001", "LNT002", "LNT003"]):
         assert rid in proc.stdout
+    for retired in ("PAR301", "PAR302"):
+        assert retired not in proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +728,9 @@ def test_sarif_clean_run_still_lists_all_rules(tmp_path):
     doc = json.loads(proc.stdout)
     run = doc["runs"][0]
     assert run["results"] == []
-    assert len(run["tool"]["driver"]["rules"]) == len(RULES)
+    ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+    assert ids == list(RULES)
+    assert "PAR301" not in ids and "PAR302" not in ids
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,18 @@ bandwidth, same event count, same virtual clock — as the same run
 without one.  This is what lets golden metric snapshots stand in for
 protocol behaviour: if metrics could shift timing, the snapshots would
 pin the instrumentation instead of the protocols.
+
+The contract is checked on a single RC bandwidth run and on whole
+quick-grid MPI figures, whose traffic drives the link, Longbow and RC
+pumps through window stalls and eager/rendezvous flips.
 """
 
 import pytest
 
 from repro.core import wan_pair
+from repro.core.registry import run_experiment
 from repro.obs import MetricsRegistry, use_registry
+from repro.sim import core as sim_core
 from repro.verbs import perftest
 
 DELAY_US = 1000.0
@@ -41,6 +47,38 @@ def test_registry_attachment_does_not_change_results():
     assert observed[0] == plain[0], "bandwidth changed under observation"
     assert observed[1] == plain[1], "event count changed under observation"
     assert observed[2] == plain[2], "virtual clock changed under observation"
+
+
+def _run_figure(exp_id, attach_metrics, monkeypatch):
+    """Regenerate ``exp_id`` on the quick grid; return its result bytes,
+    the summed event count of every simulator it built, and their final
+    clocks in construction order."""
+    sims = []
+    init = sim_core.Simulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim_core.Simulator, "__init__", recording_init)
+        if attach_metrics:
+            with use_registry(MetricsRegistry()):
+                result = run_experiment(exp_id, quick=True)
+        else:
+            result = run_experiment(exp_id, quick=True)
+    assert sims, f"{exp_id} built no simulator"
+    return (result.to_json(), sum(s.event_count for s in sims),
+            [s.now for s in sims])
+
+
+@pytest.mark.parametrize("exp_id", ["fig09a", "fig09b", "opt_adaptive"])
+def test_registry_attachment_does_not_change_figures(exp_id, monkeypatch):
+    plain = _run_figure(exp_id, False, monkeypatch)
+    observed = _run_figure(exp_id, True, monkeypatch)
+    assert observed[0] == plain[0], "result bytes changed under observation"
+    assert observed[1] == plain[1], "event count changed under observation"
+    assert observed[2] == plain[2], "virtual clocks changed under observation"
 
 
 def test_detached_components_hold_no_metric_handles():
