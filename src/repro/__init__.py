@@ -26,7 +26,7 @@ from .fabric import (Fabric, build_back_to_back, build_cluster,
 from .obs import MetricsRegistry
 from .sim import Simulator
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = ["Simulator", "HardwareProfile", "DEFAULT_PROFILE", "KB", "MB",
            "US_PER_KM", "Fabric", "build_back_to_back", "build_cluster",

@@ -4,22 +4,26 @@ Composable, individually testable pieces:
 
 * :mod:`repro.exp.scheduler` — :func:`run_experiments`: resolves ids,
   consults the cache, decomposes the rest into tasks and reassembles
-  backend outcomes in deterministic order: every backend and worker
-  count is byte-identical to a serial run;
+  backend outcomes in deterministic order.  Every run takes this one
+  path (``--jobs 1`` is the local backend running in-process), and
+  every backend and worker count is byte-identical to
+  :func:`repro.core.registry.run_experiment`;
 * :mod:`repro.exp.planner` — task decomposition, the stable shard
   hash, and the one task body every backend executes;
-* :mod:`repro.exp.backends` — where tasks run: the local process pool
-  (default), socket workers on any hosts (``repro worker``), or a dry
-  run that only plans;
+* :mod:`repro.exp.backends` — where tasks run: the local backend
+  (default; in this process for one worker, a process pool for more),
+  socket workers on any hosts (``repro worker``), or a dry run that
+  only plans;
 * :mod:`repro.exp.leases` / :mod:`repro.exp.protocol` /
   :mod:`repro.exp.worker` — the distributed substrate: lease
   bookkeeping with heartbeats and reassignment, the length-prefixed
   JSON wire protocol, and the worker process;
-* :mod:`repro.exp.cache` — :class:`ResultCache`, an on-disk
-  content-addressed cache keyed on experiment id + quick/full flag +
-  package version + source digest, making unchanged experiments free
-  to re-run; :class:`CellCache` is its per-row sibling that socket
-  workers share over the wire;
+* :mod:`repro.exp.cache` — :class:`CellCache`, the one on-disk
+  content-addressed store of task payloads, keyed on experiment id +
+  cell index + quick/full flag + package version + source digest and
+  shared by socket workers over the wire; :class:`ResultCache` is its
+  whole-experiment view (a plan-less experiment is the cell at index
+  ``None``), making unchanged experiments free to re-run;
 * :mod:`repro.exp.store` — a JSON-lines results store that
   EXPERIMENTS.md-style tables are rendered from;
 * :mod:`repro.exp.chaos` / :mod:`repro.exp.journal` — robustness

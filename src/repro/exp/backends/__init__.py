@@ -3,17 +3,19 @@
 The scheduler (:mod:`repro.exp.scheduler`) decides *what* to run and
 how results are assembled; a backend decides *where* tasks execute:
 
-* :class:`LocalPoolBackend` — a process pool on this machine (the
-  PR-3 behaviour, and the default for ``--jobs > 1``);
+* :class:`LocalPoolBackend` — this machine, the default: in this
+  process for one worker (every ``--jobs 1`` run), a process pool for
+  more;
 * :class:`SocketWorkerBackend` — lease tasks to worker processes over
   TCP (``python -m repro.exp.worker``), on this host or any other;
 * :class:`DryRunBackend` — plan and shard without executing.
 
 All backends execute the same task body
 (:func:`repro.exp.planner.run_task`) and the scheduler reassembles
-results in request order, so the rendered store is byte-identical to a
-serial run regardless of backend, worker count, or arrival order —
-``tests/test_exp_backends.py`` is the conformance wall pinning that.
+results in request order, so the rendered store is byte-identical to
+:func:`repro.core.registry.run_experiment` regardless of backend,
+worker count, or arrival order — ``tests/test_exp_backends.py`` is the
+conformance wall pinning that.
 """
 
 from __future__ import annotations

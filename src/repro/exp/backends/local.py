@@ -1,31 +1,37 @@
-"""LocalPoolBackend — the ProcessPool execution backend (the default).
+"""LocalPoolBackend — tasks on this host, the default backend.
 
-This is the engine PR 2 built and PR 3 hardened, repackaged behind the
-:class:`~repro.exp.backends.base.ExecutionBackend` interface: tasks fan
-out to a :class:`~concurrent.futures.ProcessPoolExecutor`, and a worker
-that dies outright (OOM kill, segfault) breaks the pool — so each retry
+With one worker (``min(jobs, n_tasks) == 1``, which is every
+``--jobs 1`` run) the tasks run in this process: no pool, no pickling,
+and each task records straight into the caller's metrics registry, so
+an observed ``--jobs 1`` run merges no snapshots and its summary is a
+bare run's.  Only the tasks record there: the backend's own counters
+stay in ``self.stats``.
+
+With more, tasks fan out to a
+:class:`~concurrent.futures.ProcessPoolExecutor`, and a worker that
+dies outright (OOM kill, segfault) breaks the pool — so each retry
 attempt rebuilds a **fresh pool** and resubmits only the unfinished
-tasks, with exponential backoff.  Completed tasks are never recomputed;
-a task still failing after the attempt budget is yielded as a failed
-outcome and the scheduler decides (raise vs ``keep_going``).
-
-Warm-worker fast paths (the pool twin of the socket backend's wire
-batching): the :class:`~repro.exp.planner.RunContext` is decoded from
-its wire form **once per worker process** — in the pool initializer,
-not per submitted task — and tasks are submitted in chunks so a
+tasks.  The :class:`~repro.exp.planner.RunContext` is decoded from its
+wire form **once per worker process** — in the pool initializer, not
+per submitted task — and tasks are submitted in chunks so a
 many-tiny-cell grid pays one pickle/unpickle round trip per chunk
 instead of per cell.  ``ctx_decodes`` records the per-pid decode count
 observed by each chunk; the conformance wall asserts it is exactly 1
 everywhere.
 
-Futures are collected in submission (= request) order, never completion
-order, so per-attempt progress and merged metrics stay deterministic.
-A failure inside a chunk is caught per task; only a broken pool fails
-the whole chunk (and the fresh-pool retry resubmits it).
+Both ways share one retry loop (exponential backoff, lease journaling
+per attempt) and one per-task capture, :func:`_run_each`: a failure is
+caught per task, so one bad cell cannot take the tasks after it down.
+Completed tasks are never recomputed; a task still failing after the
+attempt budget is yielded as a failed outcome and the scheduler
+decides (raise vs ``keep_going``).  Pool results are collected in
+submission (= request) order, never completion order, so per-attempt
+progress and merged metrics stay deterministic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
@@ -43,13 +49,6 @@ __all__ = ["LocalPoolBackend"]
 #: initializer: the decoded run context and how many times it was
 #: decoded in this process (the conformance wall pins that at 1).
 _POOL_STATE: Dict[str, object] = {"ctx": None, "decodes": 0}
-
-
-def _pool_task(task: Task, wire_ctx: Dict):
-    """Top-level single-task entry point (kept for API compatibility;
-    decodes per call — the chunked path below is what the backend
-    uses)."""
-    return run_task(tuple(task), RunContext.from_wire(wire_ctx))
 
 
 def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
@@ -78,31 +77,31 @@ def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
     _POOL_STATE["decodes"] = int(_POOL_STATE.get("decodes", 0)) + 1
 
 
-def _pool_chunk(chunk: List[Task]) -> Tuple[int, int, List[Tuple]]:
-    """Run a chunk of tasks against the process-wide decoded context.
+def _run_each(tasks: Sequence[Task], ctx: RunContext) -> Iterator[Tuple]:
+    """Run ``tasks`` in order, yielding ``("ok", payload, snapshot)``
+    or ``("err", exception)`` as each one finishes."""
+    for task in tasks:
+        try:
+            payload, snapshot = run_task(tuple(task), ctx)
+        except Exception as exc:        # noqa: BLE001 — judged by parent
+            yield ("err", exc)
+        else:
+            yield ("ok", payload, snapshot)
 
-    Returns ``(pid, decode_count, entries)`` where each entry is
-    ``("ok", payload, snapshot)`` or ``("err", exception)`` — task
-    failures are per-task data, not chunk failures, so one bad cell
-    cannot take its chunk-mates down with it.
-    """
+
+def _pool_chunk(chunk: List[Task]) -> Tuple[int, int, List[Tuple]]:
+    """Run a chunk of tasks against the process-wide decoded context;
+    returns ``(pid, decode_count, entries)``."""
     ctx = _POOL_STATE.get("ctx")
     if not isinstance(ctx, RunContext):
         raise RuntimeError("pool worker was not initialized with a "
                            "RunContext")
-    entries: List[Tuple] = []
-    for task in chunk:
-        try:
-            payload, snapshot = run_task(tuple(task), ctx)
-        except Exception as exc:        # noqa: BLE001 — judged by parent
-            entries.append(("err", exc))
-        else:
-            entries.append(("ok", payload, snapshot))
-    return os.getpid(), int(_POOL_STATE.get("decodes", 0)), entries
+    return (os.getpid(), int(_POOL_STATE.get("decodes", 0)),
+            list(_run_each(chunk, ctx)))
 
 
 class LocalPoolBackend(ExecutionBackend):
-    """Fan tasks out to worker processes on this host."""
+    """Run tasks on this host: in this process, or in a process pool."""
 
     name = "local"
 
@@ -117,62 +116,69 @@ class LocalPoolBackend(ExecutionBackend):
 
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
-        wire_ctx = ctx.to_wire()
+        in_process = min(self.jobs, len(tasks)) == 1
+        count = self._bump if in_process else self._count
         pending = list(tasks)
         errors: Dict[Task, BaseException] = {}
         attempts = 0
         while pending and attempts <= ctx.retries:
             if attempts:
                 time.sleep(ctx.backoff_s * 2 ** (attempts - 1))
-                self._count("pool_rebuilds")
+                count("pool_rebuilds")
             errors = {}
-            # A fresh pool per attempt: a worker killed hard breaks the
-            # executor for every outstanding future, and a broken pool
-            # cannot be reused.
             for task in pending:
                 self._journal_event({"type": "lease",
                                      "task": task_key(task),
                                      "worker": "pool",
                                      "attempt": attempts + 1})
                 maybe_crash("backend.lease")
-            max_workers = min(self.jobs, len(pending))
-            # ~4 chunks per worker: big enough to amortise the pickle
-            # round trip on tiny cells, small enough that a straggler
-            # chunk cannot serialise the tail of the sweep
-            chunk_size = max(1, -(-len(pending) // (max_workers * 4)))
-            chunks = [pending[i:i + chunk_size]
-                      for i in range(0, len(pending), chunk_size)]
-            with ProcessPoolExecutor(
-                    max_workers=max_workers,
-                    initializer=_pool_init,
-                    initargs=(os.getpid(), wire_ctx)) as pool:
-                futures = [(chunk, pool.submit(_pool_chunk, chunk))
-                           for chunk in chunks]
-                self._count("leases_issued", len(pending))
-                for chunk, future in futures:
-                    try:
-                        pid, decodes, entries = future.result()
-                    except (Exception, BrokenProcessPool) as exc:
-                        for task in chunk:      # the pool died under it
-                            errors[task] = exc
-                        continue
-                    self.ctx_decodes[pid] = max(
-                        self.ctx_decodes.get(pid, 0), decodes)
-                    for task, entry in zip(chunk, entries):
-                        if entry[0] == "ok":
-                            self._count("results")
-                            yield TaskOutcome(task, payload=entry[1],
-                                              snapshot=entry[2],
-                                              attempts=attempts + 1)
-                        else:
-                            errors[task] = entry[1]
+            count("leases_issued", len(pending))
+            entries = (zip(pending, _run_each(
+                pending, dataclasses.replace(ctx, observe=False)))
+                if in_process else self._in_pool(pending, ctx))
+            for task, entry in entries:
+                if entry[0] == "ok":
+                    count("results")
+                    yield TaskOutcome(task, payload=entry[1],
+                                      snapshot=entry[2],
+                                      attempts=attempts + 1)
+                else:
+                    errors[task] = entry[1]
             retried = [t for t in pending if t in errors]
             if retried and attempts < ctx.retries:
-                self._count("reassignments", len(retried))
+                count("reassignments", len(retried))
             pending = retried
             attempts += 1
         for task in pending:
             yield TaskOutcome(task, error=errors[task], attempts=attempts)
+
+    def _in_pool(self, pending: List[Task],
+                 ctx: RunContext) -> Iterator[Tuple[Task, Tuple]]:
+        """One attempt on a fresh pool: a worker killed hard breaks the
+        executor for every outstanding future, and a broken pool cannot
+        be reused.  Yields ``(task, entry)`` in submission order."""
+        max_workers = min(self.jobs, len(pending))
+        # ~4 chunks per worker: big enough to amortise the pickle round
+        # trip on tiny cells, small enough that a straggler chunk cannot
+        # serialise the tail of the sweep
+        chunk_size = max(1, -(-len(pending) // (max_workers * 4)))
+        chunks = [pending[i:i + chunk_size]
+                  for i in range(0, len(pending), chunk_size)]
+        with ProcessPoolExecutor(
+                max_workers=max_workers, initializer=_pool_init,
+                initargs=(os.getpid(), ctx.to_wire())) as pool:
+            futures = [(chunk, pool.submit(_pool_chunk, chunk))
+                       for chunk in chunks]
+            for chunk, future in futures:
+                try:
+                    pid, decodes, entries = future.result()
+                except (Exception, BrokenProcessPool) as exc:
+                    for task in chunk:      # the pool died under it
+                        yield task, ("err", exc)
+                    continue
+                self.ctx_decodes[pid] = max(self.ctx_decodes.get(pid, 0),
+                                            decodes)
+                yield from zip(chunk, entries)
 
     def plan(self, tasks: Sequence[Task], ctx: RunContext) -> Dict:
         n_workers = min(self.jobs, max(1, len(tasks)))

@@ -1,30 +1,41 @@
-"""On-disk content-addressed cache of experiment results.
+"""On-disk content-addressed cache of task payloads and experiment results.
 
-A cache entry is one :class:`~repro.core.registry.ExperimentResult` in
-its canonical JSON form, stored under ``.repro-cache/`` in a file named
-``<exp_id>-<key>.json`` where ``key`` is the SHA-256 of the full cache
-key:
+There is one store.  Its unit is a task payload
+(:func:`repro.exp.planner.run_task`): a sweep row for a cell of a
+:class:`~repro.core.registry.CellPlan`, or ``result.to_dict()`` for an
+experiment without a plan.  A plan-less experiment is one cell,
+``(exp_id, None)``, so its cached result *is* the entry at index
+``None``: the socket workers' cell entry and the experiment-level
+entry are one file with one value.
 
-* the experiment id;
+Entries live under ``<root>/cells/<key>.json``, where ``key`` is
+:func:`cell_key`, the SHA-256 of:
+
+* the experiment id and the cell index (``None`` for a whole
+  experiment);
 * the quick/full flag;
 * the installed ``repro.__version__``;
 * a source digest of the experiment's functions (the registered body
   plus, for cell-decomposed sweeps, the cell-plan functions);
-* the process-wide fault-injection spec, when one is active (clean runs
-  keep their historical keys);
+* the process-wide fault-injection spec, when one is active;
 * the flow-acceleration mode, when set to ``auto``/``on`` (``off`` and
   unset are both exact packet mode and share the clean key).
 
 Any of those changing — editing an experiment, bumping the package
 version, flipping quick to full — changes the key, so stale entries are
-simply never looked up again.  A corrupted or truncated entry fails the
-JSON round-trip and is treated as a miss (and deleted best-effort),
-never as an error: the cache can be blown away or half-written at any
-time and the engine just recomputes.
+simply never looked up again.
 
-Because canonical serialization is deterministic, a cache hit returns
-byte-for-byte the same JSON a cold run would produce — the
-determinism tests pin this.
+An entry's body is the payload's canonical JSON (sorted keys, no
+whitespace), so an experiment entry's bytes equal ``result.to_json()``
+and a warm hit is one ``json.loads``.  Writes go to a private temp file
+and are renamed into place, so concurrent writers never tear an entry.
+A corrupted or truncated entry — or one the reader rejects, such as an
+experiment entry naming another experiment — is a miss and is deleted
+best-effort, never an error: the cache can be blown away or
+half-written at any time and the engine just recomputes.
+
+:class:`CellCache` is the store; :class:`ResultCache` is its
+whole-experiment view.
 """
 
 from __future__ import annotations
@@ -36,12 +47,13 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core import registry
 from ..core.registry import ExperimentResult
 
-__all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "CellCache", "source_digest"]
+__all__ = ["DEFAULT_CACHE_DIR", "ResultCache", "CellCache", "cell_key",
+           "source_digest"]
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -91,119 +103,37 @@ def source_digest(exp_id: str) -> str:
     return digest
 
 
-def _package_version() -> str:
+def cell_key(exp_id: str, quick: bool, index: Optional[int]) -> str:
+    """The cache key of task ``(exp_id, index)``; diskless."""
     import repro
-    return repro.__version__
-
-
-class ResultCache:
-    """Content-addressed experiment result cache rooted at ``root``."""
-
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    # -- keys -----------------------------------------------------------
-    def key(self, exp_id: str, quick: bool) -> str:
-        payload = {"exp_id": exp_id, "quick": bool(quick),
-                   "version": _package_version(),
-                   "digest": source_digest(exp_id)}
-        # A process-wide fault spec changes what experiments measure, so
-        # it becomes part of the key — but only when one is active:
-        # clean keys (and every pre-existing cache entry) are untouched.
-        from ..faults.context import get_active_spec
-        spec = get_active_spec()
-        if spec:
-            payload["faults"] = spec
-        # Same deal for flow-level acceleration: "auto"/"on" produce
-        # shape-identical but not byte-identical numbers, so they get
-        # their own keys; "off" (and unset) IS packet mode and must
-        # share the clean key.
-        from ..flow.context import get_flow_mode
-        flow_mode = get_flow_mode()
-        if flow_mode and flow_mode != "off":
-            payload["flow"] = flow_mode
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-    def path(self, exp_id: str, quick: bool) -> Path:
-        return self.root / f"{exp_id}-{self.key(exp_id, quick)[:16]}.json"
-
-    # -- load/save ------------------------------------------------------
-    def load(self, exp_id: str, quick: bool) -> Optional[ExperimentResult]:
-        """The cached result, or ``None`` on miss/corruption."""
-        path = self.path(exp_id, quick)
-        try:
-            result = ExperimentResult.from_json(path.read_text())
-            if result.exp_id != exp_id:
-                raise ValueError("cache entry names a different experiment")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # corrupted/truncated entry: drop it and recompute
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def save(self, exp_id: str, quick: bool,
-             result: ExperimentResult) -> Path:
-        """Atomically persist ``result`` (write temp file, rename).
-
-        Concurrent writers are safe: each writes a private temp file
-        (pid + per-process sequence) and the final ``rename`` is atomic
-        on POSIX, so readers only ever see a complete entry — the last
-        rename wins, and for a content-addressed key every writer's
-        bytes are identical anyway.
-        """
-        path = self.path(exp_id, quick)
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_SEQ)}")
-        tmp.write_text(result.to_json())
-        tmp.replace(path)
-        return path
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*.json"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+    payload = {"exp_id": exp_id, "quick": bool(quick), "index": index,
+               "version": repro.__version__,
+               "digest": source_digest(exp_id)}
+    # A process-wide fault spec changes what experiments measure, so it
+    # becomes part of the key — but only when one is active.
+    from ..faults.context import get_active_spec
+    spec = get_active_spec()
+    if spec:
+        payload["faults"] = spec
+    # Same for flow-level acceleration: "auto"/"on" produce
+    # shape-identical but not byte-identical numbers, so they get their
+    # own keys; "off" (and unset) IS packet mode and shares the clean key.
+    from ..flow.context import get_flow_mode
+    flow_mode = get_flow_mode()
+    if flow_mode and flow_mode != "off":
+        payload["flow"] = flow_mode
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 class CellCache:
-    """Content-addressed cache of individual *task* payloads.
+    """Content-addressed store of task payloads under ``<root>/cells/``.
 
-    Where :class:`ResultCache` holds whole assembled
-    :class:`ExperimentResult` objects, this one holds the unit the
-    distributed backends trade in: one :class:`~repro.exp.planner.Task`
-    payload (a sweep row, or a whole-experiment result JSON for
-    plan-less experiments).  It lives under ``<root>/cells/`` next to
-    the experiment-level entries and shares the same key ingredients —
-    experiment id, cell index, quick/full, package version, source
-    digest, active fault spec and flow mode — so the two caches
-    invalidate together.
-
-    This is the store behind the remote-cache protocol: socket workers
-    ``CACHE_GET`` a digest before computing and ``CACHE_PUT`` what they
-    computed, the coordinator answers from (and publishes to) this
-    directory, and a row any worker computed is a hit for every other
-    worker of this and every later sweep.
-
-    The concurrency story is the same as :meth:`ResultCache.save`:
-    private temp file, atomic rename, corrupted/torn entries read as a
-    miss and are deleted best-effort.
+    This is also the store behind the remote-cache protocol: socket
+    workers ``CACHE_GET`` a key before computing and ``CACHE_PUT`` what
+    they computed, the coordinator answers from (and publishes to) this
+    directory, and a payload any worker computed is a hit for every
+    other worker of this and every later sweep.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
@@ -211,44 +141,33 @@ class CellCache:
         self.hits = 0
         self.misses = 0
 
-    # -- keys -----------------------------------------------------------
-    def key(self, exp_id: str, quick: bool, index: Optional[int]) -> str:
-        payload = {"exp_id": exp_id, "quick": bool(quick),
-                   "index": index, "version": _package_version(),
-                   "digest": source_digest(exp_id)}
-        from ..faults.context import get_active_spec
-        spec = get_active_spec()
-        if spec:
-            payload["faults"] = spec
-        from ..flow.context import get_flow_mode
-        flow_mode = get_flow_mode()
-        if flow_mode and flow_mode != "off":
-            payload["flow"] = flow_mode
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
     def path_of(self, key: str) -> Path:
         if not _KEY_RE.match(key):
             raise ValueError(f"malformed cell-cache key {key!r}")
         return self.root / f"{key}.json"
 
-    # -- load/save ------------------------------------------------------
-    def load(self, key: str) -> Optional[Any]:
-        """The cached payload, or ``None`` on miss/corruption."""
+    def load(self, key: str,
+             decode: Optional[Callable[[Any], Any]] = None) -> Optional[Any]:
+        """The cached payload (through ``decode``, when given), or
+        ``None`` on a miss.
+
+        An entry that is not JSON, or that ``decode`` rejects with
+        ``ValueError``/``KeyError``/``TypeError``, is corrupt: it is
+        deleted best-effort and counts as a miss.
+        """
         try:
             path = self.path_of(key)
         except ValueError:
             self.misses += 1
             return None
         try:
-            entry = json.loads(path.read_text())
-            payload = entry["payload"]
+            payload = json.loads(path.read_text())
+            if decode is not None:
+                payload = decode(payload)
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
-            # torn/corrupted entry (e.g. a crash mid-write before the
-            # atomic rename semantics existed): drop it and recompute
             try:
                 path.unlink()
             except OSError:
@@ -259,17 +178,23 @@ class CellCache:
         return payload
 
     def save(self, key: str, payload: Any) -> Path:
-        """Atomically persist ``payload`` under ``key``."""
+        """Atomically persist ``payload`` under ``key``.
+
+        Each writer writes a private temp file (pid + per-process
+        sequence) and renames it into place, which is atomic on POSIX:
+        readers only ever see a complete entry, and for a
+        content-addressed key every writer's bytes are identical anyway.
+        """
         path = self.path_of(key)
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_SEQ)}")
-        tmp.write_text(json.dumps({"key": key, "payload": payload},
-                                  sort_keys=True, separators=(",", ":")))
+        tmp.write_text(json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":")))
         tmp.replace(path)
         return path
 
     def clear(self) -> int:
-        """Delete every cell entry; returns the number removed."""
+        """Delete every entry; returns the number removed."""
         removed = 0
         if self.root.is_dir():
             for entry in self.root.glob("*.json"):
@@ -279,3 +204,42 @@ class CellCache:
                 except OSError:
                     pass
         return removed
+
+
+class ResultCache:
+    """Whole-experiment view over :class:`CellCache` rooted at ``root``:
+    an experiment's cached result is its entry at index ``None``."""
+
+    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
+        self.root = Path(root)
+        self.cells = CellCache(root)
+        self.hits = 0
+        self.misses = 0
+
+    def path(self, exp_id: str, quick: bool) -> Path:
+        return self.cells.path_of(cell_key(exp_id, quick, None))
+
+    def load(self, exp_id: str, quick: bool) -> Optional[ExperimentResult]:
+        """The cached result, or ``None`` on miss/corruption."""
+        def decode(payload) -> ExperimentResult:
+            result = ExperimentResult.from_dict(payload)
+            if result.exp_id != exp_id:
+                raise ValueError("cache entry names a different experiment")
+            return result
+
+        result = self.cells.load(cell_key(exp_id, quick, None), decode)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
+
+    def save(self, exp_id: str, quick: bool,
+             result: ExperimentResult) -> Path:
+        """Atomically persist ``result`` (its bytes are ``to_json()``)."""
+        return self.cells.save(cell_key(exp_id, quick, None),
+                               result.to_dict())
+
+    def clear(self) -> int:
+        """Delete every entry; returns the number removed."""
+        return self.cells.clear()

@@ -16,10 +16,10 @@ This module is the first job, pulled out so every execution backend
   never on worker arrival order, hostnames, or Python's randomized
   ``hash()`` — so two coordinators planning the same sweep for the same
   worker count produce the identical plan;
-* :func:`run_task` is the one true task body: every backend (the
-  in-process serial path, pool workers, socket workers on other hosts)
-  executes exactly this function, which is what makes their outputs
-  byte-identical.
+* :func:`run_task` is the one true task body: every backend (the local
+  backend, in this process or in pool workers, and socket workers on
+  other hosts) executes exactly this function, which is what makes
+  their outputs byte-identical.
 
 Determinism note: sharding decides *placement*, not *results*.  Results
 are reassembled in request order by the scheduler whatever the
@@ -122,8 +122,8 @@ def plan_shards(tasks: Sequence[Task], n_shards: int) -> List[List[Task]]:
     return shards
 
 
-# -- the one true task body (runs in pool workers, socket workers, and
-#    in-process for the serial path) ----------------------------------------
+# -- the one true task body (runs in this process, in pool workers and in
+#    socket workers) ------------------------------------------------------
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("experiment task exceeded its time budget")
@@ -170,9 +170,10 @@ def _observed(fn, *args):
 def run_task(task: Task, ctx: RunContext):
     """Execute one task under ``ctx``; returns ``(payload, snapshot)``.
 
-    The payload is JSON-representable by construction — canonical
-    result JSON for whole experiments, the plain row list for cells —
-    so it crosses process and host boundaries without losing a byte.
+    The payload is JSON-representable by construction — the result's
+    ``to_dict()`` for whole experiments, the plain row list for cells —
+    so it crosses process and host boundaries without losing a byte,
+    and it is exactly what the cell cache stores.
     """
     exp_id, index = task
     with worker_env(ctx.faults_spec, ctx.timeout_s, ctx.flow_mode):
@@ -180,8 +181,8 @@ def run_task(task: Task, ctx: RunContext):
             if ctx.observe:
                 result, snap = _observed(registry.run_experiment,
                                          exp_id, ctx.quick)
-                return result.to_json(), snap
-            return registry.run_experiment(exp_id, ctx.quick).to_json(), None
+                return result.to_dict(), snap
+            return registry.run_experiment(exp_id, ctx.quick).to_dict(), None
         if ctx.observe:
             row, snap = _observed(registry.run_cell, exp_id, ctx.quick, index)
             return list(row), snap

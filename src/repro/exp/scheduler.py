@@ -8,21 +8,24 @@ backend-independent:
   :class:`~repro.exp.cache.ResultCache`, and decompose the remainder
   into tasks (:func:`repro.exp.planner.build_tasks`);
 * **delegation** — hand the task list to an execution backend
-  (:mod:`repro.exp.backends`): the in-process serial fast path, the
-  :class:`~repro.exp.backends.LocalPoolBackend` process pool, socket
-  workers across hosts, or a dry run;
+  (:mod:`repro.exp.backends`): the
+  :class:`~repro.exp.backends.LocalPoolBackend` (the default; in this
+  process for one worker, a process pool for more), socket workers
+  across hosts, or a dry run.  There is one task path: ``--jobs 1`` is
+  the local backend with one worker, not a separate serial loop;
 * **assembly** — reassemble outcomes in request order, finalize and
   cache each experiment incrementally, merge metrics snapshots
   deterministically, and apply ``keep_going``.
 
 Determinism contract
 --------------------
-Backend output is **byte-identical** to a serial run, for every
-backend and worker count:
+Backend output is **byte-identical** to
+:func:`repro.core.registry.run_experiment`, for every backend and
+worker count:
 
 * every experiment (and every cell) builds its own freshly seeded
   simulator, so workers share no simulation state;
-* workers ship results back as canonical JSON / plain row lists, and
+* workers ship results back as plain result dicts / row lists, and
   the scheduler assembles them in request/index order, never
   completion order;
 * every backend executes the same task body,
@@ -30,9 +33,10 @@ backend and worker count:
 
 ``tests/test_exp_backends.py`` is the conformance wall pinning this.
 
-Metrics under parallel backends: each worker runs its task under a
-private :class:`~repro.obs.MetricsRegistry` and returns the snapshot;
-the parent folds every snapshot into its own attached registry — in
+Metrics: tasks run in this process record straight into the attached
+registry.  Tasks run in other processes run under a private
+:class:`~repro.obs.MetricsRegistry` and return its snapshot; the
+parent folds every snapshot into its own attached registry — in
 request order, so merged summaries are deterministic too.  Cache hits
 run no simulation and therefore contribute no metrics.
 
@@ -43,8 +47,8 @@ Long sweeps survive misbehaving workers:
 * ``timeout_s`` arms a per-task wall-clock alarm *inside* the worker
   (``SIGALRM``), so a runaway simulation surfaces as a
   :class:`TimeoutError` result instead of wedging the backend;
-* worker death is the backend's business — the pool backend rebuilds a
-  fresh pool and resubmits unfinished tasks, the socket backend
+* worker death is the backend's business — the local backend rebuilds
+  a fresh pool and resubmits unfinished tasks, the socket backend
   expires the dead worker's leases and reassigns them — and either
   way completed results are never recomputed;
 * ``keep_going=True`` converts a permanently failing experiment into an
@@ -72,14 +76,13 @@ anything else raises ``ValueError``); ``connect_budget_s`` bounds the
 wait for the first worker handshake, after which an *owned* socket
 backend degrades gracefully: a warning on stderr, an
 ``exp/backend_fallbacks`` counter, and the sweep finishes on the local
-pool.
+backend.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -90,11 +93,11 @@ from ..faults.context import activated
 from ..flow.context import activated as flow_activated
 from .backends import (ExecutionBackend, LocalPoolBackend, NoWorkersError,
                        SocketWorkerBackend, create_backend)
-from .cache import ResultCache
+from .cache import ResultCache, cell_key
 from .chaos import ChaosError, ChaosPlan, maybe_crash
 from .journal import (DEFAULT_JOURNAL_DIR, ResumeError, RunJournal,
                       plan_digest)
-from .planner import RunContext, Task, build_tasks, task_key, worker_env
+from .planner import RunContext, Task, build_tasks, task_key
 
 __all__ = ["run_experiments", "ExperimentFailure"]
 
@@ -133,15 +136,15 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                     ) -> List[ExperimentResult]:
     """Run experiments, optionally cached, in parallel, and hardened.
 
-    ``jobs=None`` means ``os.cpu_count()``; ``jobs=1`` runs in-process
-    (identical to :func:`repro.core.registry.run_all` plus caching).
+    ``jobs=None`` means ``os.cpu_count()``; ``jobs=1`` runs every task
+    in this process, through the same backend path as ``jobs=N``.
     Results come back in the order of ``ids`` (registry order when
     ``ids`` is empty).  Unknown ids raise
     :class:`~repro.core.registry.UnknownExperimentError` before any
     work starts.
 
-    ``backend`` selects the execution backend: ``None`` keeps the
-    historical behaviour (in-process when ``jobs == 1``, the local
+    ``backend`` selects the execution backend: ``None`` means
+    ``"local"`` (in this process when ``min(jobs, n_tasks) == 1``, a
     process pool otherwise); ``"local"``/``"socket"``/``"dryrun"`` — or
     a ready-made :class:`~repro.exp.backends.ExecutionBackend` instance,
     which the caller then owns and closes — force one explicitly.
@@ -151,13 +154,14 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
     ``cell_cache_dir`` enables the shared remote cell cache.
 
     ``timeout_s`` bounds each task's wall clock; ``retries`` re-runs
-    *failed* tasks (with ``backoff_s * 2**attempt`` sleeps for the
-    serial/pool paths).  Worker death is not a task failure: backends
+    *failed* tasks (with ``backoff_s * 2**attempt`` sleeps on the local
+    backend).  Worker death is not a task failure: backends
     reassign such tasks without consuming the retry budget.  With
     ``keep_going`` a permanently failed experiment is skipped — an
     :class:`ExperimentFailure` is appended to ``failures`` (when given)
-    and the remaining experiments still run; without it the first
-    failure propagates after the budget is spent.
+    and the remaining experiments still run; without it every other
+    task still finishes (and caches), then the first failure in request
+    order propagates.
 
     ``faults_spec`` activates a process-wide
     :class:`~repro.faults.FaultPlan` spec for the duration of the run —
@@ -174,7 +178,7 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
     journal and its digest verified, so ``ids`` may be left empty.
     ``connect_budget_s`` bounds the socket backend's wait for a first
     worker handshake; when the scheduler owns the backend it then falls
-    back to the local pool with a warning instead of failing the sweep.
+    back to the local backend with a warning instead of failing the sweep.
     ``pipeline`` forces the socket backend's credit-based lease window
     (``--pipeline N``); by default the window derives from the grid
     size, degrading to stop-and-wait on tiny grids.
@@ -234,89 +238,78 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                 results[exp_id] = cached
             else:
                 to_run.append(exp_id)
+        if not (to_run or journaling
+                or isinstance(backend, ExecutionBackend)):
+            return [results[k] for k in keys]   # all cached: no backend
 
         failed: List[ExperimentFailure] = []
-        n_tasks = sum(max(1, registry.n_cells(k, quick)) for k in to_run)
-        if (backend is None and (jobs == 1 or n_tasks <= 1)
-                and not journaling):
-            _run_serial(to_run, quick, results, cache, faults_spec,
-                        flow_mode, timeout_s, retries, backoff_s,
-                        keep_going, failed)
-        else:
-            from ..obs import get_default_registry
-            parent_registry = get_default_registry()
-            ctx = RunContext(quick=quick,
-                             observe=parent_registry is not None,
-                             faults_spec=faults_spec, timeout_s=timeout_s,
-                             flow_mode=flow_mode, retries=retries,
-                             backoff_s=backoff_s)
-            tasks = build_tasks(to_run, quick)
-            preloaded: Dict[Task, Tuple[object, object]] = {}
-            if journaling:
-                if journal is None:
-                    journal = RunJournal.create(
-                        Path(journal_dir or DEFAULT_JOURNAL_DIR), journal_id)
-                    journal.append({
-                        "type": "plan", "ids": list(keys), "quick": quick,
-                        "faults": faults_spec, "flow": flow_mode,
-                        "digest": plan_digest(keys, quick, faults_spec,
-                                              flow_mode),
-                        "backend": backend_name or "local",
-                        "tasks": [task_key(t) for t in tasks]})
-                    maybe_crash("journal.plan")
-                else:
-                    preloaded = _preload_from_journal(journal, tasks,
-                                                      parent_registry)
-            if isinstance(backend, ExecutionBackend):
-                exec_backend, owned = backend, False
+        from ..obs import get_default_registry
+        parent_registry = get_default_registry()
+        ctx = RunContext(quick=quick, observe=parent_registry is not None,
+                         faults_spec=faults_spec, timeout_s=timeout_s,
+                         flow_mode=flow_mode, retries=retries,
+                         backoff_s=backoff_s)
+        tasks = build_tasks(to_run, quick)
+        n_jobs = min(jobs, max(len(tasks), 1))
+        preloaded: Dict[Task, Tuple[object, object]] = {}
+        if journaling:
+            if journal is None:
+                journal = RunJournal.create(
+                    Path(journal_dir or DEFAULT_JOURNAL_DIR), journal_id)
+                journal.append({
+                    "type": "plan", "ids": list(keys), "quick": quick,
+                    "faults": faults_spec, "flow": flow_mode,
+                    "digest": plan_digest(keys, quick, faults_spec,
+                                          flow_mode),
+                    "backend": backend_name or "local",
+                    "tasks": [task_key(t) for t in tasks]})
+                maybe_crash("journal.plan")
             else:
-                exec_backend = create_backend(
-                    backend or "local", jobs=min(jobs, max(n_tasks, 1)),
-                    workers=workers, listen=listen,
-                    cache_dir=cell_cache_dir, chaos=chaos_spec,
-                    connect_budget_s=connect_budget_s,
-                    pipeline=pipeline)
-                owned = True
-            if journal is not None:
-                exec_backend.attach_journal(journal)
+                preloaded = _preload_from_journal(journal, tasks,
+                                                  parent_registry)
+        if isinstance(backend, ExecutionBackend):
+            exec_backend, owned = backend, False
+        else:
+            exec_backend = create_backend(
+                backend or "local", jobs=n_jobs, workers=workers,
+                listen=listen, cache_dir=cell_cache_dir, chaos=chaos_spec,
+                connect_budget_s=connect_budget_s, pipeline=pipeline)
+            owned = True
+        if journal is not None:
+            exec_backend.attach_journal(journal)
+        try:
             try:
-                try:
-                    _run_backend(exec_backend, to_run, quick, tasks,
-                                 preloaded, results, cache, ctx,
-                                 parent_registry, keep_going, failed,
-                                 journal)
-                except NoWorkersError as exc:
-                    if not (owned and isinstance(exec_backend,
-                                                 SocketWorkerBackend)):
-                        raise
-                    # graceful degradation: no worker ever joined (and
-                    # no outcome was produced), so the local pool can
-                    # finish the sweep without double execution
-                    print(f"repro: {exc}; falling back to the local "
-                          f"backend", file=sys.stderr)
-                    if parent_registry is not None:
-                        parent_registry.counter(
-                            "exp", "backend_fallbacks",
-                            wanted="socket").inc()
-                    exec_backend.close()
-                    fallback = LocalPoolBackend(
-                        jobs=min(jobs, max(n_tasks, 1)))
-                    if journal is not None:
-                        fallback.attach_journal(journal)
-                    try:
-                        _run_backend(fallback, to_run, quick, tasks,
-                                     preloaded, results, cache, ctx,
-                                     parent_registry, keep_going, failed,
-                                     journal)
-                    finally:
-                        fallback.close()
-            finally:
-                if owned:
-                    exec_backend.close()
+                _run_backend(exec_backend, to_run, quick, tasks, preloaded,
+                             results, cache, ctx, parent_registry,
+                             keep_going, failed, journal)
+            except NoWorkersError as exc:
+                if not (owned and isinstance(exec_backend,
+                                             SocketWorkerBackend)):
+                    raise
+                # graceful degradation: no worker ever joined (and no
+                # outcome was produced), so the local backend can finish
+                # the sweep without double execution
+                print(f"repro: {exc}; falling back to the local "
+                      f"backend", file=sys.stderr)
+                if parent_registry is not None:
+                    parent_registry.counter("exp", "backend_fallbacks",
+                                            wanted="socket").inc()
+                exec_backend.close()
+                fallback = LocalPoolBackend(jobs=n_jobs)
                 if journal is not None:
-                    journal.append({"type": "end",
-                                    "failures": len(failed)})
-                    journal.close()
+                    fallback.attach_journal(journal)
+                try:
+                    _run_backend(fallback, to_run, quick, tasks, preloaded,
+                                 results, cache, ctx, parent_registry,
+                                 keep_going, failed, journal)
+                finally:
+                    fallback.close()
+        finally:
+            if owned:
+                exec_backend.close()
+            if journal is not None:
+                journal.append({"type": "end", "failures": len(failed)})
+                journal.close()
         if failures is not None:
             failures.extend(failed)
         return [results[k] for k in keys if k in results]
@@ -349,35 +342,6 @@ def _preload_from_journal(journal: RunJournal, tasks: Sequence[Task],
     journal.append({"type": "resume", "skipped": skipped,
                     "reexecuted": reexecuted})
     return preloaded
-
-
-def _run_serial(to_run: Sequence[str], quick: bool,
-                results: Dict[str, ExperimentResult],
-                cache: Optional[ResultCache], faults_spec: Optional[str],
-                flow_mode: Optional[str],
-                timeout_s: Optional[float], retries: int, backoff_s: float,
-                keep_going: bool,
-                failed: List[ExperimentFailure]) -> None:
-    """The in-process fast path: no backend, no pickling, no sockets."""
-    for exp_id in to_run:
-        error: Optional[BaseException] = None
-        for attempt in range(retries + 1):
-            if attempt:
-                time.sleep(backoff_s * 2 ** (attempt - 1))
-            try:
-                with worker_env(faults_spec, timeout_s, flow_mode):
-                    results[exp_id] = registry.run_experiment(exp_id, quick)
-                if cache is not None:
-                    cache.save(exp_id, quick, results[exp_id])
-                error = None
-                break
-            except Exception as exc:
-                error = exc
-        if error is not None:
-            if not keep_going:
-                raise error
-            failed.append(ExperimentFailure(exp_id, repr(error),
-                                            retries + 1))
 
 
 def _run_backend(exec_backend: ExecutionBackend, to_run: Sequence[str],
@@ -419,7 +383,7 @@ def _run_backend(exec_backend: ExecutionBackend, to_run: Sequence[str],
             continue
         done[task] = (outcome.payload, outcome.snapshot)
         if journal is not None:
-            key = journal.cells.key(task[0], quick, task[1])
+            key = cell_key(task[0], quick, task[1])
             journal.cells.save(key, outcome.payload)
             journal.append({"type": "result", "task": task_key(task),
                             "key": key})
@@ -458,8 +422,8 @@ def _finalize_ready(to_run: Sequence[str], quick: bool, tasks: List[Task],
             continue
         snapshots = []
         if exp_tasks[0][1] is None:
-            result_json, snap = done[exp_tasks[0]]
-            results[exp_id] = ExperimentResult.from_json(result_json)
+            payload, snap = done[exp_tasks[0]]
+            results[exp_id] = ExperimentResult.from_dict(payload)
             snapshots.append(snap)
         else:
             rows = []

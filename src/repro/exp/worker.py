@@ -78,7 +78,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..sim.rng import RngRegistry
-from .cache import DEFAULT_CACHE_DIR, CellCache
+from .cache import CellCache, cell_key
 from .planner import RunContext, run_task, task_key
 from .protocol import (PROTOCOL_VERSION, ProtocolError, VersionMismatchError,
                        check_versions, package_version, recv_frame,
@@ -251,7 +251,6 @@ def serve(connect: str, worker_id: Optional[str] = None,
         connect_budget_s = _default_connect_budget_s()
     jitter = RngRegistry().stream(f"worker-backoff:{worker_id}")
     local_cache = CellCache(cache_dir) if cache_dir else None
-    keyer = CellCache(cache_dir or DEFAULT_CACHE_DIR)   # key() is diskless
     deadline: Optional[float] = None    # armed while un-handshaken
     attempt = 0
     while True:
@@ -283,8 +282,8 @@ def serve(connect: str, worker_id: Optional[str] = None,
             deadline = _monotonic() + connect_budget_s
         welcomed = [False]      # set by _session once WELCOME checks out
         try:
-            outcome = _session(sock, worker_id, local_cache, keyer,
-                               deadline, welcomed)
+            outcome = _session(sock, worker_id, local_cache, deadline,
+                               welcomed)
         except _FatalRejection as exc:
             print(f"repro worker: rejected by coordinator: {exc}",
                   file=sys.stderr)
@@ -323,8 +322,8 @@ def serve(connect: str, worker_id: Optional[str] = None,
 
 
 def _session(sock: socketlib.socket, worker_id: str,
-             local_cache: Optional[CellCache], keyer: CellCache,
-             deadline: float, welcomed: Optional[List[bool]] = None) -> str:
+             local_cache: Optional[CellCache], deadline: float,
+             welcomed: Optional[List[bool]] = None) -> str:
     """One connection's worth of work.
 
     Returns ``"done"`` (orderly BYE/EOF), ``"retry"`` (no WELCOME
@@ -360,7 +359,7 @@ def _session(sock: socketlib.socket, worker_id: str,
     pending: Deque[Dict] = deque()
     with _apply_context(ctx):
         with _SessionHeartbeat(link, heartbeat_s):
-            announced = _announced_keys(announce, keyer, ctx) \
+            announced = _announced_keys(announce, ctx) \
                 if prefetch_mode else set()
             prefetched: Dict[str, object] = {}
             if shared_cache and announced:
@@ -377,7 +376,7 @@ def _session(sock: socketlib.socket, worker_id: str,
                     return status
                 _process_batch(sock, link, pending, ctx, shared_cache,
                                prefetch_mode, announced, prefetched,
-                               local_cache, keyer, cache_wait_s)
+                               local_cache, cache_wait_s)
 
 
 # repro-lint: disable=WIRE502 -- _route deliberately drops stray frames: late CACHE replies after a timeout are legal here, and the fail-closed arm lives one level up in _session
@@ -421,7 +420,7 @@ def _drain_ready(sock: socketlib.socket, pending: Deque[Dict],
     return None
 
 
-def _announced_keys(announce, keyer: CellCache, ctx: RunContext) -> set:
+def _announced_keys(announce, ctx: RunContext) -> set:
     """Cache keys for the WELCOME's shard announcement.
 
     The set doubles as the "known at WELCOME time" ledger: a lease for
@@ -438,7 +437,7 @@ def _announced_keys(announce, keyer: CellCache, ctx: RunContext) -> set:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 f"malformed prefetch entry {entry!r}") from exc
-        keys.add(keyer.key(str(exp_id), ctx.quick, index))
+        keys.add(cell_key(str(exp_id), ctx.quick, index))
     return keys
 
 
@@ -483,7 +482,7 @@ def _process_batch(sock: socketlib.socket, link: _Link,
                    pending: Deque[Dict], ctx: RunContext,
                    shared_cache: bool, prefetch_mode: bool,
                    announced: set, prefetched: Dict[str, object],
-                   local_cache: Optional[CellCache], keyer: CellCache,
+                   local_cache: Optional[CellCache],
                    cache_wait_s: float) -> None:
     """Drain the local lease queue, batching publishes and results.
 
@@ -522,7 +521,7 @@ def _process_batch(sock: socketlib.socket, link: _Link,
         lease_id = int(message["lease"])
         task = (str(message["exp_id"]), message.get("index"))
         attempt = int(message.get("attempt", 1))
-        key = keyer.key(task[0], ctx.quick, task[1])
+        key = cell_key(task[0], ctx.quick, task[1])
         payload = prefetched.get(key)
         if payload is not None:
             results.append(_result_frame(lease_id, payload=payload,

@@ -57,8 +57,10 @@ CTX = RunContext(quick=True)
 
 @pytest.fixture(scope="module")
 def serial_bytes():
-    return {r.exp_id: r.to_json()
-            for r in run_experiments(SUBSET, quick=True, jobs=1)}
+    """The reference store, built without the scheduler: ``--jobs 1``
+    runs through the same backend path these tests compare against."""
+    return {exp_id: registry.run_experiment(exp_id, True).to_json()
+            for exp_id in SUBSET}
 
 
 def _assert_identical(results, serial_bytes, ids=SUBSET):

@@ -1,8 +1,8 @@
 """Cache-key invalidation, corruption and concurrency tolerance for the
-on-disk caches (ResultCache and its per-task sibling CellCache).
+on-disk cache (CellCache, and ResultCache, its whole-experiment view).
 
-The key is (experiment id, quick/full, package version, source digest
-— plus, for cells, the index); each invalidation test flips exactly one
+The key is (experiment id, cell index, quick/full, package version,
+source digest); each invalidation test flips exactly one
 ingredient and asserts the cached entry is no longer found.  Corruption
 tests truncate/garble the entry on disk and expect a silent miss plus
 recompute, never an exception.  Concurrency tests hammer one key from
@@ -20,6 +20,7 @@ import repro
 from repro.core.registry import ExperimentResult
 from repro.exp import CellCache, ResultCache, run_experiments, source_digest
 from repro.exp import cache as cache_mod
+from repro.exp.cache import cell_key
 from repro.faults.context import activated
 from repro.flow.context import activated as flow_activated
 
@@ -56,7 +57,7 @@ def test_version_bump_invalidates(cache, warm, monkeypatch):
 
 def test_quick_full_are_separate_keys(cache, warm):
     assert cache.load("table1", False) is None
-    assert cache.key("table1", True) != cache.key("table1", False)
+    assert cell_key("table1", True, None) != cell_key("table1", False, None)
 
 
 def test_corrupted_entry_is_discarded(cache, warm):
@@ -83,10 +84,13 @@ def test_empty_entry_is_discarded(cache, warm):
 
 
 def test_wrong_experiment_in_entry_is_discarded(cache, warm):
-    path = cache.path("table1", True)
+    key = cell_key("table1", True, None)
     impostor = ExperimentResult("fig03", "t", ["c"], [(1,)], "")
-    path.write_text(impostor.to_json())
+    cache.cells.save(key, impostor.to_dict())
+    # the entry is well formed: only the exp_id guard can reject it
+    assert cache.cells.load(key)["exp_id"] == "fig03"
     assert cache.load("table1", True) is None
+    assert not cache.path("table1", True).exists()
 
 
 def test_missing_dir_is_a_miss(tmp_path):
@@ -113,20 +117,20 @@ def test_digest_covers_cell_plan_functions():
 
 def test_key_payload_is_stable(cache):
     """Same ingredients, same key — the key is a pure function."""
-    assert cache.key("table1", True) == cache.key("table1", True)
+    assert cell_key("table1", True, None) == cell_key("table1", True, None)
     assert json.loads(ExperimentResult("x", "t", ["c"], [(1,)]).to_json())
 
 
 def test_active_fault_spec_changes_key(cache):
     """An active --faults spec is part of the key; clearing it restores
     the exact clean key, so historical entries survive fault runs."""
-    clean = cache.key("table1", True)
+    clean = cell_key("table1", True, None)
     with activated("loss=0.1,seed=1"):
-        faulted = cache.key("table1", True)
+        faulted = cell_key("table1", True, None)
         assert faulted != clean
         with activated("loss=0.2,seed=1"):
-            assert cache.key("table1", True) != faulted
-    assert cache.key("table1", True) == clean
+            assert cell_key("table1", True, None) != faulted
+    assert cell_key("table1", True, None) == clean
 
 
 def test_clean_entry_not_served_under_fault_spec(cache, warm):
@@ -139,16 +143,16 @@ def test_flow_mode_changes_key_only_when_accelerating(cache):
     """``--flow auto``/``on`` are part of the key; ``off`` and unset
     share the exact historical packet-mode key, so flow runs never
     collide with (or shadow) packet-mode entries."""
-    clean = cache.key("table1", True)
+    clean = cell_key("table1", True, None)
     with flow_activated("auto"):
-        auto = cache.key("table1", True)
+        auto = cell_key("table1", True, None)
         assert auto != clean
     with flow_activated("on"):
-        on = cache.key("table1", True)
+        on = cell_key("table1", True, None)
         assert on != clean and on != auto
     with flow_activated("off"):
-        assert cache.key("table1", True) == clean
-    assert cache.key("table1", True) == clean
+        assert cell_key("table1", True, None) == clean
+    assert cell_key("table1", True, None) == clean
 
 
 def test_packet_entry_not_served_under_flow_mode(cache, warm):
@@ -186,8 +190,9 @@ def test_concurrent_result_writers_never_tear(cache, warm):
     assert not bad, "a reader observed a torn/partial entry"
     assert cache.load("table1", True).to_json() == warm.to_json()
     # no leaked temp files: every writer renamed or died atomically
-    leftovers = [p for p in cache.root.iterdir() if ".tmp." in p.name]
-    assert leftovers == []
+    entries = list(cache.cells.root.iterdir())
+    assert cache.path("table1", True) in entries
+    assert [p for p in entries if ".tmp." in p.name] == []
 
 
 def test_crash_mid_write_leaves_cache_recoverable(cache, warm,
@@ -214,7 +219,7 @@ def test_crash_mid_write_leaves_cache_recoverable(cache, warm,
     assert again.exists()
 
 
-# -- CellCache: the distributed backends' per-task cache ---------------------
+# -- CellCache: the store behind ResultCache and the socket workers ----------
 
 @pytest.fixture
 def cells(tmp_path):
@@ -222,7 +227,7 @@ def cells(tmp_path):
 
 
 def test_cell_roundtrip_and_counters(cells):
-    key = cells.key("fig04a", True, 1)
+    key = cell_key("fig04a", True, 1)
     assert cells.load(key) is None and cells.misses == 1
     cells.save(key, [1, 2.5, "x"])
     assert cells.load(key) == [1, 2.5, "x"]
@@ -231,16 +236,16 @@ def test_cell_roundtrip_and_counters(cells):
 
 def test_cell_key_ingredients(cells):
     """id, index, quick and fault/flow context all key the entry."""
-    base = cells.key("fig04a", True, 0)
-    assert cells.key("fig04a", True, 1) != base
-    assert cells.key("fig04a", False, 0) != base
-    assert cells.key("fig05a", True, 0) != base
-    assert cells.key("fig04a", True, None) != base
+    base = cell_key("fig04a", True, 0)
+    assert cell_key("fig04a", True, 1) != base
+    assert cell_key("fig04a", False, 0) != base
+    assert cell_key("fig05a", True, 0) != base
+    assert cell_key("fig04a", True, None) != base
     with activated("loss=0.1,seed=1"):
-        assert cells.key("fig04a", True, 0) != base
+        assert cell_key("fig04a", True, 0) != base
     with flow_activated("auto"):
-        assert cells.key("fig04a", True, 0) != base
-    assert cells.key("fig04a", True, 0) == base
+        assert cell_key("fig04a", True, 0) != base
+    assert cell_key("fig04a", True, 0) == base
 
 
 @pytest.mark.parametrize("evil", [
@@ -259,7 +264,7 @@ def test_cell_wire_keys_are_validated(cells, evil):
 
 
 def test_cell_torn_file_recovers(cells):
-    key = cells.key("fig04a", True, 2)
+    key = cell_key("fig04a", True, 2)
     cells.save(key, [3, 4])
     path = cells.path_of(key)
     path.write_text('{"key": "' + key + '", "payl')     # torn mid-write
@@ -270,7 +275,7 @@ def test_cell_torn_file_recovers(cells):
 
 
 def test_cell_concurrent_writers_never_tear(cells):
-    key = cells.key("fig04a", True, 0)
+    key = cell_key("fig04a", True, 0)
     payload = [1, 2, 3, "row"]
     bad = []
     stop = threading.Event()
@@ -301,6 +306,17 @@ def test_cell_concurrent_writers_never_tear(cells):
 
 def test_cell_clear(cells):
     for index in range(3):
-        cells.save(cells.key("fig04a", True, index), [index])
+        cells.save(cell_key("fig04a", True, index), [index])
     assert cells.clear() == 3
-    assert cells.load(cells.key("fig04a", True, 0)) is None
+    assert cells.load(cell_key("fig04a", True, 0)) is None
+
+
+def test_plan_less_experiment_is_one_cell(tmp_path):
+    """An experiment's cached result is its cell entry at index None:
+    the same file, the same payload, and its bytes are ``to_json()``."""
+    result = run_experiments(["table1"], quick=True, jobs=1,
+                             cache=ResultCache(tmp_path))[0]
+    cells = CellCache(tmp_path)
+    key = cell_key("table1", True, None)
+    assert cells.load(key) == result.to_dict()
+    assert cells.path_of(key).read_text() == result.to_json()

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.core import registry
 from repro.exp import run_experiments
 from repro.exp.backends import SocketWorkerBackend
 from repro.exp.chaos import (ChaosError, ChaosPlan, FrameInjector,
@@ -42,8 +43,9 @@ CTX = RunContext(quick=True)
 
 @pytest.fixture(scope="module")
 def serial_bytes():
-    return {r.exp_id: r.to_json()
-            for r in run_experiments(SUBSET, quick=True, jobs=1)}
+    """The reference store, built without the scheduler."""
+    return {exp_id: registry.run_experiment(exp_id, True).to_json()
+            for exp_id in SUBSET}
 
 
 def _assert_identical(results, serial_bytes, ids=SUBSET):

@@ -153,6 +153,35 @@ def test_journaled_run_records_plan_leases_results_end(tmp_path):
     journal.close()
 
 
+def test_journaled_single_worker_run_stays_in_process(tmp_path,
+                                                     monkeypatch):
+    """A journaled ``jobs=1`` run goes through the local backend in
+    this process: it builds no pool, its store is the unjournaled one,
+    and its journal records the same plan, leases, results and end."""
+    from repro.exp.backends import local
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker run built a process pool")
+
+    monkeypatch.setattr(local, "ProcessPoolExecutor", no_pool)
+    plain = run_experiments(IDS, quick=True, jobs=1)
+    journaled = run_experiments(IDS, quick=True, jobs=1,
+                                journal_dir=str(tmp_path),
+                                journal_id="inproc")
+    assert (_result_bytes(journaled, tmp_path, "j.jsonl")
+            == _result_bytes(plain, tmp_path, "p.jsonl"))
+    journal = RunJournal.resume(tmp_path, "inproc")
+    records = journal.records()
+    kinds = [r["type"] for r in records]
+    assert kinds[0] == "plan" and kinds[-1] == "end"
+    assert kinds.count("lease") == N_TASKS
+    assert kinds.count("result") == N_TASKS
+    assert records[-1]["failures"] == 0
+    assert journal.plan_record()["tasks"] == ["table1", "fig04a#0",
+                                              "fig04a#1", "fig04a#2"]
+    journal.close()
+
+
 def test_resume_of_complete_run_skips_everything(tmp_path):
     baseline = run_experiments(IDS, quick=True, jobs=2,
                                journal_dir=str(tmp_path),
