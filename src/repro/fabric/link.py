@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Protocol
 
-from ..sim import URGENT, PriorityStore, Simulator
+from ..sim import URGENT, WAITING, PriorityStore, Simulator
 from .packet import Frame
 
 __all__ = ["Link", "LinkEndpoint", "CUT_THROUGH_BYTES"]
@@ -83,7 +83,8 @@ class _HalfLink:
             self._m_busy_us = self._m_qdelay = None
         # The pump is a callback state machine (:meth:`_next_frame` /
         # :meth:`_on_entry` / :meth:`_finish`): one URGENT kick-off pop,
-        # then one StoreGet pop and one serialization pop per frame.
+        # one wake-up pop per frame that found the queue empty, and one
+        # serialization pop per frame.
         sim.call_at(0.0, self._next_frame, priority=URGENT,
                     cancellable=False)
 
@@ -96,18 +97,15 @@ class _HalfLink:
         queue = self.queue
         on_entry = self._on_entry
         while True:
-            get = queue.get()
-            if not get.triggered:
-                get.callbacks.append(self._on_get)
-                return
-            if on_entry(get._value):
+            entry = queue.take(self._on_get)
+            if entry is WAITING or on_entry(entry):
                 return
             # Instant drop (link flap): take the next frame now —
             # iteratively, so a deep queue drained during a flap cannot
             # blow the stack.
 
-    def _on_get(self, event) -> None:
-        if not self._on_entry(event._value):
+    def _on_get(self, entry) -> None:
+        if not self._on_entry(entry):
             self._next_frame()
 
     def _on_entry(self, entry) -> bool:

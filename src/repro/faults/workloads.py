@@ -83,8 +83,7 @@ def run_rc_goodput(delay_us: float, plan: Optional[FaultPlan] = None,
         reconnect_wait_us = max(2000.0, 4.0 * delay_us)
     stats = {"received_bytes": 0.0, "qp_errors": 0.0, "reconnects": 0.0}
 
-    for _ in range(64):
-        qb.post_recv(RecvWR(_HUGE))
+    qb.post_recv(RecvWR(_HUGE), 64)
 
     def receiver():
         while True:
@@ -145,8 +144,7 @@ def run_ud_goodput(delay_us: float, plan: Optional[FaultPlan] = None,
     msg_bytes = min(msg_bytes, profile.ib_mtu)
     stats = {"received_bytes": 0.0, "sent_msgs": 0.0}
 
-    for _ in range(512):
-        qb.post_recv(RecvWR(_HUGE))
+    qb.post_recv(RecvWR(_HUGE), 512)
 
     def receiver():
         while True:

@@ -28,8 +28,8 @@ from typing import Optional
 
 from ..fabric.node import Node
 from ..sim import Simulator
-from ..verbs.ops import Opcode, WCStatus, WorkCompletion
-from ..verbs.perftest import _make_pair, _post_recvs, _send
+from ..verbs.ops import Opcode, RecvWR, WCStatus, WorkCompletion
+from ..verbs.perftest import _make_pair, _send
 from ..verbs.qp import QPState
 from . import models
 from .crossover import PeriodDetector
@@ -73,7 +73,7 @@ class _Direction:
         self.halted = False
 
     def prime(self) -> None:
-        _post_recvs(self.qp_rx, self.size, self.iters)
+        self.qp_rx.post_recv(RecvWR(self.size), self.iters)
         if self.transport == "rc":
             initial = min(self.iters, self.window + _LOOKAHEAD_SLACK)
         else:

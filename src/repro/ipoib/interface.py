@@ -134,8 +134,7 @@ class IPoIBInterface:
     # -- rx ------------------------------------------------------------------
     def _post_ring(self, qp) -> None:
         cap = self.mtu + self.profile.ipoib_header_bytes
-        for _ in range(_RECV_RING):
-            qp.post_recv(RecvWR(cap))
+        qp.post_recv(RecvWR(cap), _RECV_RING)
 
     def _dispatch(self):
         cap = self.mtu + self.profile.ipoib_header_bytes

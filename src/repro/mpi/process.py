@@ -153,8 +153,7 @@ class MPIProcess:
     def _register(self, peer_rank: int, qp: RCQueuePair) -> None:
         self._qps[peer_rank] = qp
         self._qpn_to_rank[qp.qpn] = peer_rank
-        for _ in range(self.tuning.recv_ring):
-            qp.post_recv(RecvWR(_HUGE))
+        qp.post_recv(RecvWR(_HUGE), self.tuning.recv_ring)
 
     # -- non-blocking API ---------------------------------------------------
     def isend(self, dst: int, size: int, tag: int = 0,

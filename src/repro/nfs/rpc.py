@@ -255,8 +255,7 @@ class RdmaRpcServer:
         client_rcq = client_ctx.create_cq("nfs.c.rcq")
         client_qp = client_ctx.create_rc_qp(client_scq, client_rcq)
         connect_rc_pair(qp, client_qp)
-        for _ in range(4096):
-            qp.post_recv(RecvWR(_HUGE))
+        qp.post_recv(RecvWR(_HUGE), 4096)
         self._conns[qp.qpn] = qp
         self.sim.process(self._serve(qp), name="nfs.rdma.conn")
         return client_qp
@@ -333,8 +332,7 @@ class RdmaRpcClient(_RetryMixin):
         # Keep the server-side QP so the client (the RDMA-CM analogue)
         # can drive a reconnect after an RC error.
         self._server_qp = server._conns[self.qp.remote_qpn]
-        for _ in range(4096):
-            self.qp.post_recv(RecvWR(_HUGE))
+        self.qp.post_recv(RecvWR(_HUGE), 4096)
         self._waiting: Dict[int, Any] = {}
         self.reconnects = 0
         self._m_reconnects = None

@@ -117,8 +117,7 @@ class SdpSocket:
         scq = stack.ctx.create_cq(f"sdp{local_port}.scq")
         rcq = stack.ctx.create_cq(f"sdp{local_port}.rcq")
         self.qp: RCQueuePair = stack.ctx.create_rc_qp(scq, rcq)
-        for _ in range(512):
-            self.qp.post_recv(RecvWR(_HUGE))
+        self.qp.post_recv(RecvWR(_HUGE), 512)
         self._peer: Optional["SdpSocket"] = None
         self._rx_bytes = 0
         self._rx_watchers = []

@@ -11,40 +11,39 @@ Three primitives cover every queueing need in the protocol models:
   link arbitration and server thread pools.
 
 All operations return :class:`~repro.sim.core.Event` subclasses so that
-processes simply ``yield store.get()``.
+processes simply ``yield store.get()``.  Hand-offs that nothing waits on
+never reach the event heap: a put that buffers at once returns an event
+that is already processed, and a single-consumer callback pump pulls
+items with :meth:`Store.take` instead of a :class:`StoreGet`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, List
+from typing import Any, Callable, List
 
 from .core import Event, Simulator
 
 __all__ = ["Store", "PriorityStore", "Resource", "StorePut", "StoreGet",
-           "ResourceRequest"]
+           "ResourceRequest", "WAITING"]
+
+#: Returned by :meth:`Store.take` when no item is ready and the callback
+#: has been queued instead.
+WAITING = object()
 
 
 class StorePut(Event):
-    """Pending put; succeeds (value=None) once the item is buffered."""
+    """A put that must wait for room; succeeds (value=None) once the
+    item is buffered.  Puts that find room never build one."""
 
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.sim)
         self.item = item
-        # Common case inlined: room available and no queued putters ahead
-        # of us.  Succeed-order is identical to the generic loop — the
-        # put succeeds first, then any getter it unblocks.
-        if not store._put_waiters and len(store._items) < store.capacity:
-            store._do_put(item)
-            self.succeed()
-            if store._get_waiters:
-                store._dispatch()
-        else:
-            store._put_waiters.append(self)
-            store._dispatch()
+        store._put_waiters.append(self)
+        store._dispatch()
 
 
 class StoreGet(Event):
@@ -77,7 +76,13 @@ class Store:
         self.capacity = capacity
         self._items = self._make_items()
         self._put_waiters: List[StorePut] = []
-        self._get_waiters: List[StoreGet] = []
+        #: :class:`StoreGet` events and :meth:`take` callbacks, FIFO.
+        self._get_waiters: List[Any] = []
+        # What every put that buffers at once returns: already
+        # processed, so yielding it resumes in the same step.
+        self._put_done = Event(sim)
+        self._put_done._value = None
+        self._put_done.callbacks = None
 
     def _make_items(self):
         """FIFO stores keep a deque so ``get`` pops the head in O(1);
@@ -85,11 +90,38 @@ class Store:
         return deque()
 
     # -- public api -----------------------------------------------------
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
+    def put(self, item: Any) -> Event:
+        """Buffer ``item``.  With room and no putters queued ahead, the
+        item is buffered and the head getter woken at once, and the
+        returned event is already processed (nothing is scheduled);
+        otherwise a pending :class:`StorePut` is returned."""
+        if self._put_waiters or len(self._items) >= self.capacity:
+            return StorePut(self, item)
+        self._do_put(item)
+        if self._get_waiters:
+            self._dispatch()
+        return self._put_done
 
     def get(self) -> StoreGet:
         return StoreGet(self)
+
+    def take(self, fn: Callable[[Any], None]) -> Any:
+        """Callback get for a single-consumer pump.
+
+        Returns the head item when one is ready and nobody is queued
+        ahead.  Otherwise queues ``fn`` and returns :data:`WAITING`;
+        ``fn(item)`` then runs from the event heap at exactly the
+        ``(time, priority, seq)`` slot a :class:`StoreGet` woken at the
+        same point would take, with a pooled record instead of an event.
+        """
+        if self._get_waiters or not self._items:
+            self._get_waiters.append(fn)
+            self._dispatch()
+            return WAITING
+        item = self._do_get()
+        if self._put_waiters:
+            self._dispatch()
+        return item
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the store is full."""
@@ -126,7 +158,11 @@ class Store:
                 progress = True
             while self._get_waiters and self._items:
                 getter = self._get_waiters.pop(0)
-                getter.succeed(self._do_get())
+                if getter.__class__ is StoreGet:
+                    getter.succeed(self._do_get())
+                else:
+                    self.sim.call_at(0.0, getter, self._do_get(),
+                                     cancellable=False)
                 progress = True
 
 

@@ -38,11 +38,6 @@ def _make_pair(node_a: Node, node_b: Node, transport: str,
     raise ValueError(f"unknown transport {transport!r}")
 
 
-def _post_recvs(qp: QueuePair, size: int, count: int) -> None:
-    for _ in range(count):
-        qp.post_recv(RecvWR(size))
-
-
 def _send(qp: QueuePair, peer: QueuePair, size: int) -> None:
     if isinstance(qp, UDQueuePair):
         qp.send((peer.hca.lid, peer.qpn), size)
@@ -61,7 +56,7 @@ def run_send_lat(sim: Simulator, node_a: Node, node_b: Node, size: int,
     result = {}
 
     def client():
-        _post_recvs(qp_a, size, iters)
+        qp_a.post_recv(RecvWR(size), iters)
         t0 = sim.now
         for _ in range(iters):
             _send(qp_a, qp_b, size)
@@ -69,7 +64,7 @@ def run_send_lat(sim: Simulator, node_a: Node, node_b: Node, size: int,
         result["lat"] = (sim.now - t0) / (2 * iters)
 
     def server():
-        _post_recvs(qp_b, size, iters)
+        qp_b.post_recv(RecvWR(size), iters)
         for _ in range(iters):
             yield qp_b.recv_cq.wait()
             _send(qp_b, qp_a, size)
@@ -87,7 +82,7 @@ def run_write_lat(sim: Simulator, node_a: Node, node_b: Node, size: int,
     result = {}
 
     def client():
-        _post_recvs(qp_a, size, iters)
+        qp_a.post_recv(RecvWR(size), iters)
         t0 = sim.now
         for _ in range(iters):
             qp_a.rdma_write(size, imm=1)
@@ -95,7 +90,7 @@ def run_write_lat(sim: Simulator, node_a: Node, node_b: Node, size: int,
         result["lat"] = (sim.now - t0) / (2 * iters)
 
     def server():
-        _post_recvs(qp_b, size, iters)
+        qp_b.post_recv(RecvWR(size), iters)
         for _ in range(iters):
             yield qp_b.recv_cq.wait()
             qp_b.rdma_write(size, imm=1)
@@ -139,7 +134,7 @@ def run_send_bw(sim: Simulator, node_a: Node, node_b: Node, size: int,
             yield
 
     def receiver():
-        _post_recvs(qp_b, size, iters)
+        qp_b.post_recv(RecvWR(size), iters)
         yield qp_b.recv_cq.wait()
         t0 = sim.now
         for _ in range(iters - 1):
@@ -174,7 +169,7 @@ def run_bidir_bw(sim: Simulator, node_a: Node, node_b: Node, size: int,
             yield
 
     def receiver(qp, key):
-        _post_recvs(qp, size, iters)
+        qp.post_recv(RecvWR(size), iters)
         yield qp.recv_cq.wait()
         t0 = sim.now
         for _ in range(iters - 1):

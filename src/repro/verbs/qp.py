@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import deque
 from typing import Callable, Deque
 
@@ -46,14 +47,20 @@ class QueuePair:
         self.recv_dropped = 0
 
     # -- receive side -------------------------------------------------------
-    def post_recv(self, wr: RecvWR) -> None:
+    def post_recv(self, wr: RecvWR, count: int = 1) -> None:
+        """Post ``count`` receive descriptors, all ``wr``.
+
+        A pre-posted ring of identical buffers is one call: the
+        descriptors share ``wr`` (and its ``wr_id``), and a backlog
+        waiting for receives is drained once, after all are posted.
+        """
         if self.state is QPState.ERROR:
             raise RuntimeError(f"QP {self.qpn} is in the error state")
         if self.srq is not None:
             raise RuntimeError(
                 f"QP {self.qpn} uses an SRQ; post receives to the SRQ")
-        self.recv_queue.append(wr)
-        self.recv_posted_total += 1
+        self.recv_queue.extend(itertools.repeat(wr, count))
+        self.recv_posted_total += count
         self._on_recv_posted()
 
     def _has_recv(self) -> bool:

@@ -27,7 +27,7 @@ from typing import Any, Deque, Optional
 from ..calibration import HardwareProfile
 from ..fabric.node import HCA
 from ..fabric.packet import Frame, wire_size
-from ..sim import URGENT, ReusableTimeout, Simulator, Store
+from ..sim import URGENT, WAITING, ReusableTimeout, Simulator, Store
 from .cq import CompletionQueue
 from .ops import (
     AtomicWR,
@@ -209,24 +209,22 @@ class RCQueuePair(QueuePair):
         return wr
 
     # -- sender: the send pump -------------------------------------------
-    # One URGENT kick-off pop, then one StoreGet pop per WR, one Event
-    # pop per window stall and one overhead pop per transmitted WR.
+    # One URGENT kick-off pop, one wake-up pop per WR that found the
+    # backlog empty, one Event pop per window stall and one overhead pop
+    # per transmitted WR.
 
     def _next_wr(self) -> None:
         backlog = self._send_backlog
         on_wr = self._on_wr
         while True:
-            get = backlog.get()
-            if not get.triggered:
-                get.callbacks.append(self._on_wr_event)
-                return
-            if on_wr(get._value):
+            wr = backlog.take(self._on_wr_ready)
+            if wr is WAITING or on_wr(wr):
                 return
             # WR flushed instantly (QP not RTS): drain the next one now,
             # iteratively.
 
-    def _on_wr_event(self, event) -> None:
-        if not self._on_wr(event._value):
+    def _on_wr_ready(self, wr: "WorkRequest") -> None:
+        if not self._on_wr(wr):
             self._next_wr()
 
     def _on_wr(self, wr: "WorkRequest") -> bool:

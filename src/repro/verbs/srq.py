@@ -11,6 +11,7 @@ would fire the SRQ limit event and NAK; well-behaved apps repost first).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Deque, List
 
@@ -32,9 +33,11 @@ class SharedReceiveQueue:
         self.limit_events = 0
         self.posted_total = 0
 
-    def post_recv(self, wr: RecvWR) -> None:
-        self._wrs.append(wr)
-        self.posted_total += 1
+    def post_recv(self, wr: RecvWR, count: int = 1) -> None:
+        """Post ``count`` descriptors, all ``wr`` (see
+        :meth:`QueuePair.post_recv`)."""
+        self._wrs.extend(itertools.repeat(wr, count))
+        self.posted_total += count
         for qp in list(self._consumers):
             qp._on_recv_posted()
 

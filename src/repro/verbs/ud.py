@@ -15,7 +15,7 @@ from typing import Any, Tuple
 from ..calibration import HardwareProfile
 from ..fabric.node import HCA
 from ..fabric.packet import Frame, wire_size
-from ..sim import URGENT, Simulator, Store
+from ..sim import URGENT, WAITING, Simulator, Store
 from .cq import CompletionQueue
 from .ops import Opcode, SendWR, WCStatus, WorkCompletion
 from .qp import QPState, QueuePair
@@ -68,18 +68,13 @@ class UDQueuePair(QueuePair):
         return wr
 
     # -- send pump ---------------------------------------------------------
-    # One URGENT kick-off pop, then one StoreGet pop and one overhead
-    # pop per datagram.
+    # One URGENT kick-off pop, one wake-up pop per datagram that found
+    # the backlog empty, and one overhead pop per datagram.
 
     def _next_send(self) -> None:
-        get = self._send_backlog.get()
-        if get.triggered:
-            self._start_send(get._value)
-        else:
-            get.callbacks.append(self._on_send_wr)
-
-    def _on_send_wr(self, event) -> None:
-        self._start_send(event._value)
+        wr = self._send_backlog.take(self._start_send)
+        if wr is not WAITING:
+            self._start_send(wr)
 
     def _start_send(self, wr: SendWR) -> None:
         self.sim.call_at(self.profile.hca_send_overhead_us,

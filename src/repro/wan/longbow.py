@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..calibration import HardwareProfile
 from ..fabric.link import Link
 from ..fabric.packet import Frame
-from ..sim import URGENT, Simulator, Store
+from ..sim import URGENT, WAITING, Simulator, Store
 
 __all__ = ["Longbow", "LongbowPair"]
 
@@ -57,8 +57,8 @@ class Longbow:
         self._pool = profile.longbow_buffer_bytes
         self._pending_frame: Optional[Frame] = None
         # The WAN port is driven by a callback state machine, like the
-        # link pump: one URGENT kick-off pop, one StoreGet pop per
-        # frame, one Event pop per credit wait.
+        # link pump: one URGENT kick-off pop, one wake-up pop per frame
+        # that found the queue empty, one Event pop per credit wait.
         sim.call_at(0.0, self._next_wan_frame, priority=URGENT,
                     cancellable=False)
 
@@ -112,16 +112,13 @@ class Longbow:
         to_wan = self._to_wan
         on_frame = self._on_wan_frame
         while True:
-            get = to_wan.get()
-            if not get.triggered:
-                get.callbacks.append(self._on_wan_get)
-                return
-            if on_frame(get._value):
+            frame = to_wan.take(self._on_wan_get)
+            if frame is WAITING or on_frame(frame):
                 return
             # Frame forwarded instantly; pull the next one now.
 
-    def _on_wan_get(self, event) -> None:
-        if not self._on_wan_frame(event._value):
+    def _on_wan_get(self, frame: Frame) -> None:
+        if not self._on_wan_frame(frame):
             self._next_wan_frame()
 
     def _on_wan_frame(self, frame: Frame) -> bool:

@@ -167,3 +167,19 @@ def test_cli_main_module_entry():
     parser = repro.cli.build_parser()
     args = parser.parse_args(["perftest", "lat"])
     assert args.test == "lat"
+
+
+def test_package_version_is_repro_version():
+    """The installed distribution reports the version the cache keys,
+    plan digests and wire handshake use."""
+    import pathlib
+    import warnings
+
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import repro
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        project = read_configuration(str(pyproject), expand=True)["project"]
+    assert project["version"] == repro.__version__

@@ -222,6 +222,53 @@ def test_higher_threshold_improves_medium_bw_at_high_delay():
     assert tuned > 1.5 * orig
 
 
+def test_one_slot_recv_ring_under_an_eager_burst(monkeypatch):
+    """With ``recv_ring=1`` a burst of eager sends outruns the ring:
+    arrivals wait in the RC receiver-not-ready backlog and are drained
+    one replenish at a time.  Timings are the ones a full ring gives."""
+    from repro.verbs.rc import RCQueuePair
+    drained = []
+    hook = RCQueuePair._on_recv_posted
+
+    def counting_hook(qp):
+        drained.append(len(qp._rnr_backlog))
+        hook(qp)
+
+    monkeypatch.setattr(RCQueuePair, "_on_recv_posted", counting_hook)
+
+    def burst(ring):
+        sim, job = _job(delay=100.0, tuning=MPITuning(recv_ring=ring))
+
+        def prog(proc):
+            if proc.rank == 0:
+                for i in range(40):
+                    proc.isend(1, 8, tag=1, payload=i)
+                yield from proc.recv(src=1, tag=2)
+                return sim.now
+            got = []
+            for _ in range(40):
+                req = yield from proc.recv(src=0, tag=1)
+                got.append((req.data, sim.now))
+            yield from proc.send(0, 8, tag=2)
+            return got
+
+        results = job.run(prog)
+        return results, sim.now, job.procs[1]._qps[0].recv_posted_total
+
+    drained.clear()
+    one, one_end, one_posted = burst(1)
+    assert max(drained) > 0  # the backlog was exercised
+    # Recorded when the ring was posted one descriptor object at a time.
+    assert one_end == 751.9872 and one[0] == 646.5695999999999
+    assert one[1][16] == (16, 321.8848)
+    assert one[1][-1] == (39, 538.1847999999999)
+    full, full_end, full_posted = burst(512)
+    assert full_end == one_end and full[0] == one[0]
+    assert [d for d, _ in one[1]] == [d for d, _ in full[1]] == list(range(40))
+    assert [t for _, t in one[1]] == pytest.approx([t for _, t in full[1]])
+    assert (one_posted, full_posted) == (1 + 40, 512 + 40)
+
+
 def test_mpi_latency_tracks_wan_delay():
     from repro.mpi.benchmarks import run_osu_latency
     sim = Simulator()

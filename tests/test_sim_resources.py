@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import (URGENT, WAITING, PriorityStore, Resource, Simulator,
+                       Store)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,96 @@ def test_store_multiple_consumers_fifo_service():
     sim.process(producer())
     sim.run()
     assert got == [("c1", "x"), ("c2", "y")]
+
+
+# ---------------------------------------------------------------------------
+# Hand-offs off the event heap
+# ---------------------------------------------------------------------------
+
+def test_put_with_room_schedules_nothing():
+    sim = Simulator()
+    store = Store(sim)
+    put = store.put("x")
+    assert put.processed
+    assert sim.peek() == float("inf")
+    sim.run()
+    assert sim.event_count == 0
+    assert list(store.items) == ["x"]
+
+
+def test_yielded_put_with_room_resumes_in_the_same_step():
+    sim = Simulator()
+    store = Store(sim)
+    log = []
+
+    def producer():
+        sim.call_at(0.0, lambda: log.append("scheduled before the put"))
+        yield store.put("x")
+        log.append("resumed")
+
+    sim.process(producer())
+    sim.run()
+    assert log == ["resumed", "scheduled before the put"]
+
+
+def test_take_returns_a_ready_item_without_scheduling():
+    sim = Simulator()
+    store = Store(sim)
+    store.put("x")
+    assert store.take(lambda item: None) == "x"
+    assert len(store) == 0
+    assert sim.peek() == float("inf")
+
+
+def test_take_on_empty_store_wakes_the_callback_once_fed():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+    assert store.take(lambda item: got.append((item, sim.now))) is WAITING
+    sim.call_at(3.0, lambda: store.put("x"))
+    sim.run()
+    assert got == [("x", 3.0)]
+
+
+def _getter_fire_order(kinds):
+    """Queue one getter per entry of ``kinds`` ("event" = a process
+    yielding ``get()``, "callback" = :meth:`Store.take`), then feed two
+    items at t=5 with a zero-delay timeout created between the puts."""
+    sim = Simulator()
+    store = Store(sim)
+    log = []
+
+    def event_getter(n):
+        log.append((n, (yield store.get())))
+
+    def callback_getter(n):
+        store.take(lambda item: log.append((n, item)))
+
+    for n, kind in enumerate(kinds):
+        # URGENT, like a process kick-off, so getters queue in order.
+        if kind == "event":
+            sim.process(event_getter(n))
+        else:
+            sim.call_at(0.0, callback_getter, n, priority=URGENT)
+
+    def producer():
+        yield sim.timeout(5.0)
+        store.put("a")
+        sim.timeout(0.0).callbacks.append(lambda _e: log.append("timeout"))
+        store.put("b")
+
+    sim.process(producer())
+    sim.run()
+    return log
+
+
+@pytest.mark.parametrize("kinds", [("callback", "event"),
+                                   ("event", "callback"),
+                                   ("callback", "callback")])
+def test_callback_getters_fire_where_event_getters_fire(kinds):
+    reference = _getter_fire_order(("event", "event"))
+    assert reference == [(0, "a"), "timeout", (1, "b")]
+    assert _getter_fire_order(kinds) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,50 @@ def test_rc_data_waits_for_posted_recv(b2b):
     assert sim.run(until=sim.process(late_poster())) == ("early", True)
 
 
+def test_post_recv_count_posts_a_ring_in_one_call(b2b):
+    sim, a, b = b2b
+    qp_a, qp_b = create_connected_rc_pair(a, b)
+    wr = RecvWR(4096)
+    qp_b.post_recv(wr, 5)
+    assert list(qp_b.recv_queue) == [wr] * 5
+    assert qp_b.recv_posted_total == 5
+    qp_b.post_recv(RecvWR(4096))
+    assert qp_b.recv_posted_total == 6
+
+
+def test_post_recv_count_drains_an_rnr_backlog_in_one_call(b2b):
+    sim, a, b = b2b
+    qp_a, qp_b = create_connected_rc_pair(a, b)
+    for i in range(3):
+        qp_a.send(100, payload=i)
+    sim.run(until=50.0)
+    assert len(qp_b._rnr_backlog) == 3  # arrived before any receive
+    drains = []
+    hook = qp_b._on_recv_posted
+    qp_b._on_recv_posted = lambda: (drains.append(1), hook())
+    qp_b.post_recv(RecvWR(4096), 4)
+    assert drains == [1]
+    assert not qp_b._rnr_backlog
+    assert len(qp_b.recv_queue) == 1
+    assert qp_b.recv_posted_total == 4
+
+    def receiver():
+        got = []
+        for _ in range(3):
+            got.append((yield qp_b.recv_cq.wait()).payload)
+        return got
+
+    assert sim.run(until=sim.process(receiver())) == [0, 1, 2]
+
+
+def test_srq_post_recv_count():
+    sim = Simulator()
+    fabric = build_back_to_back(sim)
+    srq = VerbsContext(fabric.nodes[1]).create_srq()
+    srq.post_recv(RecvWR(4096), 3)
+    assert len(srq) == 3 and srq.posted_total == 3
+
+
 def test_rc_window_limits_inflight(b2b):
     sim, a, b = b2b
     qp_a, qp_b = create_connected_rc_pair(a, b, send_window=4)

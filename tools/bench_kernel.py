@@ -28,7 +28,7 @@ Four measurements, written to ``BENCH_kernel.json`` at the repo root:
   closure.  This is the "zero-allocation" claim made concrete.
 * **figure_sweeps** — real figure regenerations (``run_experiment``,
   quick grid, in-process, no result cache); target >= 1.3x
-  wall-clock on the WAN sweeps.
+  wall-clock on each WAN sweep.
 
 Timing protocol: ``gc`` disabled around each run, CPU time
 (``time.process_time``) for the storms, wall clock for the sweeps,
@@ -318,13 +318,19 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out}")
 
-    ok_storm = storm["speedup"] >= TARGET_STORM_SPEEDUP
-    ok_sweep = any(s["speedup"] >= TARGET_SWEEP_SPEEDUP for s in sweeps)
-    ok_flow = flow_aggregate >= TARGET_FLOW_SWEEP_SPEEDUP
+    def verdict(ok: bool) -> str:
+        return "MET" if ok else "MISSED"
+
     if not args.smoke:
-        print(f"targets: storm {'MET' if ok_storm else 'MISSED'}, "
-              f"sweep {'MET' if ok_sweep else 'MISSED'}, "
-              f"flow {'MET' if ok_flow else 'MISSED'}")
+        # The sweep target holds per figure, not for the best of them.
+        sweep_verdicts = ", ".join(
+            f"{s['experiment']} "
+            f"{verdict(s['speedup'] >= TARGET_SWEEP_SPEEDUP)}"
+            for s in sweeps)
+        print(f"targets: storm "
+              f"{verdict(storm['speedup'] >= TARGET_STORM_SPEEDUP)}, "
+              f"sweep {sweep_verdicts}, "
+              f"flow {verdict(flow_aggregate >= TARGET_FLOW_SWEEP_SPEEDUP)}")
     return 0
 
 
