@@ -7,9 +7,7 @@ Four subcommands, each the simulated twin of a classic tool:
 * ``repro netperf``  — TCP throughput over IPoIB (window / MTU /
   parallel streams) plus SDP;
 * ``repro iozone``   — NFS read throughput over RDMA / IPoIB;
-* ``repro experiments`` — regenerate paper tables/figures by id;
-* ``repro worker``      — a socket-backend experiment worker that joins
-  an ``experiments --backend socket`` coordinator from any host.
+* ``repro experiments`` — regenerate paper tables/figures by id.
 
 Examples::
 
@@ -115,18 +113,12 @@ def _cmd_experiments(args) -> int:
 
     from .core.registry import UnknownExperimentError
     from .exp import DryRunBackend, ResultCache, run_experiments, write_jsonl
-    from .exp.chaos import ChaosError
     from .exp.journal import JournalError, new_run_id
     cache = ResultCache(args.cache_dir) if args.cache else None
-    # the socket backend shares per-row results through the same
-    # content-addressed cache directory
-    cell_cache_dir = args.cache_dir if (args.cache and
-                                        args.backend == "socket") else None
     backend = args.backend
     dryrun = None
     if backend == "dryrun":
-        backend = dryrun = DryRunBackend(workers=args.workers or
-                                         args.jobs or 1)
+        backend = dryrun = DryRunBackend()
     # Settle the run id here so scripts can capture it (stderr, before
     # any work happens) and pass it back to --resume after a crash.
     journal_id = args.journal_id
@@ -149,25 +141,16 @@ def _cmd_experiments(args) -> int:
                                   faults_spec=args.faults,
                                   flow_mode=args.flow,
                                   backend=backend,
-                                  workers=args.workers,
-                                  listen=args.listen,
-                                  cell_cache_dir=cell_cache_dir,
-                                  chaos_spec=args.chaos,
                                   journal_dir=(args.journal_dir
                                                if journaling else None),
                                   journal_id=journal_id,
-                                  resume=args.resume,
-                                  connect_budget_s=args.connect_budget,
-                                  pipeline=args.pipeline)
-    except UnknownExperimentError as exc:
-        print(f"repro experiments: {exc}", file=sys.stderr)
-        return 2
-    except (ChaosError, JournalError) as exc:
+                                  resume=args.resume)
+    except (UnknownExperimentError, JournalError) as exc:
         print(f"repro experiments: {exc}", file=sys.stderr)
         return 2
     if dryrun is not None:
         plan = dryrun.last_plan or {"backend": "dryrun", "n_tasks": 0,
-                                    "tasks": [], "shards": []}
+                                    "tasks": []}
         print(json.dumps(plan, indent=2, sort_keys=True))
         if cache is not None:
             print(f"cache: {cache.hits} hit(s), {cache.misses} miss(es) "
@@ -184,13 +167,6 @@ def _cmd_experiments(args) -> int:
     for failure in failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _cmd_worker(args) -> int:
-    from .exp.worker import serve
-    return serve(args.connect, worker_id=args.worker_id,
-                 cache_dir=args.cache_dir, timeout_s=args.timeout,
-                 connect_budget_s=args.connect_budget)
 
 
 def _positive_int(text: str) -> int:
@@ -281,30 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true", help=metrics_help)
     p.add_argument("--flow", choices=["auto", "on", "off"], default=None,
                    help=flow_help + "; keyed into the cache when set")
-    p.add_argument("--backend", choices=["local", "socket", "dryrun"],
+    p.add_argument("--backend", choices=["local", "dryrun"],
                    default=None,
                    help="execution backend: 'local' process pool "
-                        "(default), 'socket' TCP workers (spawned "
-                        "locally, or external with --listen), 'dryrun' "
-                        "prints the task/shard plan without executing")
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="socket/dryrun worker count (default: --jobs)")
-    p.add_argument("--pipeline", type=_positive_int, default=None,
-                   metavar="N",
-                   help="with --backend socket: force the credit-based "
-                        "lease window (outstanding leases per worker); "
-                        "default derives it from the grid size, "
-                        "degrading to stop-and-wait (1) on tiny grids")
-    p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                   help="with --backend socket: wait for externally "
-                        "started 'repro worker --connect' processes on "
-                        "this address instead of spawning local ones")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
-                   help="with --backend socket: harness-level fault "
-                        "injection on the coordinator/worker wire (see "
-                        "repro.exp.chaos.ChaosPlan), e.g. "
-                        "'drop=0.05,reset@7,seed=3'; never changes "
-                        "result bytes")
+                        "(default), 'dryrun' prints the task plan "
+                        "without executing")
     p.add_argument("--journal", action="store_true",
                    help="write a durable run journal (enables --resume "
                         "after a crash); the run id is printed on stderr")
@@ -318,30 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume a journaled run: skip journaled tasks, "
                         "re-execute the rest, and produce the same "
                         "bytes an uninterrupted run would have")
-    p.add_argument("--connect-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="with --backend socket: fall back to the local "
-                        "backend if no worker completes a handshake "
-                        "within this budget")
     p.set_defaults(fn=_cmd_experiments)
-
-    p = sub.add_parser("worker",
-                       help="socket-backend experiment worker "
-                            "(join a --backend socket coordinator)")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="coordinator address")
-    p.add_argument("--worker-id", default=None,
-                   help="stable worker name (default: host-pid)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="optional local cell-cache directory")
-    p.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS",
-                   help="socket timeout (default: %(default)s)")
-    p.add_argument("--connect-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="give up (exit 1) after this long without a "
-                        "completed coordinator handshake (default: env "
-                        "REPRO_EXP_CONNECT_BUDGET_S or 60)")
-    p.set_defaults(fn=_cmd_worker)
 
     return parser
 

@@ -8,32 +8,29 @@ semantics — stays in :mod:`repro.exp.scheduler`, identical for every
 backend, which is what the conformance wall
 (``tests/test_exp_backends.py``) pins.
 
-The protocol surface every backend must implement (and that the
-PAR305 lint rule statically enforces):
+The surface every backend implements:
 
 * :meth:`run_tasks` — a generator yielding exactly one final
-  :class:`TaskOutcome` per task, in any order.  Retries, lease
-  reassignment and worker supervision are the backend's private
-  business; by the time an outcome is yielded it is final.
-* :meth:`plan` — the placement the backend *would* use, as plain data
-  (worker/shard breakdown), for dry runs and cost estimation.
-* :meth:`close` — release external resources (pools, sockets, spawned
-  workers).  Idempotent; the scheduler always calls it.
+  :class:`TaskOutcome` per task, in any order.  Retries and pool
+  rebuilds are the backend's private business; by the time an outcome
+  is yielded it is final.
+* :meth:`close` — release external resources.  Idempotent; the
+  scheduler always calls it.
 
 Backends report operational counters in ``self.stats`` (a plain dict,
-always on) and mirror them into :mod:`repro.obs` via
-:meth:`_count`/:meth:`_count_cache_hit` when a default registry is
-attached — leases issued, reassignments, remote/local cache hits are
-then observable next to the simulation's own metrics.
+always on) and mirror them into :mod:`repro.obs` via :meth:`_count`
+when a default registry is attached — leases issued, pool rebuilds and
+reassignments are then observable next to the simulation's own
+metrics.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
-from ..planner import RunContext, Task, plan_shards, task_key
+from ..planner import RunContext, Task
 
 __all__ = ["TaskOutcome", "ExecutionBackend"]
 
@@ -44,10 +41,10 @@ class TaskOutcome:
 
     Exactly one of three shapes:
 
-    * executed/cache-served: ``payload`` set (``snapshot`` too when the
-      run is observed), ``error`` None, ``planned`` False;
-    * failed after the backend's full retry/reassignment budget:
-      ``error`` holds the exception (or its repr, for remote workers);
+    * executed: ``payload`` set (``snapshot`` too when the run is
+      observed), ``error`` None, ``planned`` False;
+    * failed after the backend's full retry budget: ``error`` holds
+      the exception;
     * planned only (dry run): ``planned`` True, nothing else set.
     """
 
@@ -56,12 +53,11 @@ class TaskOutcome:
     snapshot: Optional[Dict] = None
     error: Optional[BaseException] = None
     attempts: int = 1
-    cached: Optional[str] = None     # None | "remote" | "local"
     planned: bool = False
 
 
 class ExecutionBackend(ABC):
-    """Where tasks run: in-process pool, socket workers, or nowhere."""
+    """Where tasks run: this process, a process pool, or nowhere."""
 
     #: registry key (``--backend <name>``); set by every subclass.
     name: str = ""
@@ -71,20 +67,15 @@ class ExecutionBackend(ABC):
         #: The run journal, when the scheduler attached one.
         self.journal = None
 
-    # -- protocol surface (PAR305 pins subclasses to all of these) ------
+    # -- the surface the scheduler drives --------------------------------
     @abstractmethod
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
         """Yield one final :class:`TaskOutcome` per task, any order."""
 
     @abstractmethod
-    def plan(self, tasks: Sequence[Task], ctx: RunContext) -> Dict:
-        """The intended placement, as JSON-ready data (see
-        :meth:`_shard_plan` for the common shape)."""
-
-    @abstractmethod
     def close(self) -> None:
-        """Release pools/sockets/spawned workers; idempotent."""
+        """Release external resources; idempotent."""
 
     # -- shared helpers -------------------------------------------------
     def attach_journal(self, journal) -> None:
@@ -109,22 +100,10 @@ class ExecutionBackend(ABC):
     def _bump(self, stat: str, amount: int = 1) -> None:
         self.stats[stat] = self.stats.get(stat, 0) + amount
 
-    def _count(self, name: str, amount: int = 1, **labels) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         """``stats`` bump plus a repro.obs counter when one is attached."""
-        self._bump(name if not labels
-                   else "_".join([name] + sorted(labels.values())), amount)
+        self._bump(name, amount)
         from ...obs import get_default_registry
         registry = get_default_registry()
         if registry is not None:
-            registry.counter("exp", name, backend=self.name,
-                             **labels).inc(amount)
-
-    def _count_cache_hit(self, where: str) -> None:
-        """A shared-cache hit: ``where`` is ``"remote"`` or ``"local"``."""
-        self._count("cache_hits", where=where)
-
-    def _shard_plan(self, tasks: Sequence[Task], ctx: RunContext,
-                    n_shards: int) -> List[Dict]:
-        """The canonical per-shard breakdown used by :meth:`plan`."""
-        return [{"shard": i, "tasks": [task_key(t) for t in shard]}
-                for i, shard in enumerate(plan_shards(tasks, n_shards))]
+            registry.counter("exp", name, backend=self.name).inc(amount)

@@ -1,11 +1,11 @@
-"""DryRunBackend — plan and shard a sweep without executing anything.
+"""DryRunBackend — plan a sweep without executing anything.
 
-Answers "what would this run do" for free: how many tasks, how they
-shard across workers, and which experiments the scheduler already
-served from the result cache (cache prefetch happens *before* the
-backend sees anything, so a dry run against a warm cache returns the
-full byte-identical store while this backend executes zero tasks —
-the conformance wall pins exactly that).
+Answers "what would this run do" for free: how many tasks, how many
+per experiment, and which experiments the scheduler already served
+from the result cache (cache prefetch happens *before* the backend
+sees anything, so a dry run against a warm cache returns the full
+byte-identical store while this backend executes zero tasks — the
+conformance wall pins exactly that).
 
 Every task that reaches :meth:`run_tasks` is yielded as a
 ``planned``-only outcome; the scheduler skips finalization for those,
@@ -24,34 +24,26 @@ __all__ = ["DryRunBackend"]
 
 
 class DryRunBackend(ExecutionBackend):
-    """Shard and report; never execute."""
+    """Plan and report; never execute."""
 
     name = "dryrun"
 
-    def __init__(self, workers: int = 1):
+    def __init__(self) -> None:
         super().__init__()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self.last_plan: Optional[Dict] = None
 
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
-        self.last_plan = self.plan(tasks, ctx)
-        self._count("tasks_planned", len(tasks))
-        for task in tasks:
-            yield TaskOutcome(task, planned=True)
-
-    def plan(self, tasks: Sequence[Task], ctx: RunContext) -> Dict:
         per_exp: Dict[str, int] = {}
         for exp_id, _index in tasks:
             per_exp[exp_id] = per_exp.get(exp_id, 0) + 1
-        return {"backend": self.name, "workers": self.workers,
-                "n_tasks": len(tasks),
-                "tasks_per_experiment": per_exp,
-                "quick": ctx.quick,
-                "tasks": [task_key(t) for t in tasks],
-                "shards": self._shard_plan(tasks, ctx, self.workers)}
+        self.last_plan = {"backend": self.name, "n_tasks": len(tasks),
+                          "tasks_per_experiment": per_exp,
+                          "quick": ctx.quick,
+                          "tasks": [task_key(t) for t in tasks]}
+        self._count("tasks_planned", len(tasks))
+        for task in tasks:
+            yield TaskOutcome(task, planned=True)
 
     def close(self) -> None:
         pass

@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ..chaos import maybe_crash
+from ..journal import maybe_crash
 from ..planner import RunContext, Task, run_task, task_key
 from .base import ExecutionBackend, TaskOutcome
 
@@ -179,12 +179,6 @@ class LocalPoolBackend(ExecutionBackend):
                 self.ctx_decodes[pid] = max(self.ctx_decodes.get(pid, 0),
                                             decodes)
                 yield from zip(chunk, entries)
-
-    def plan(self, tasks: Sequence[Task], ctx: RunContext) -> Dict:
-        n_workers = min(self.jobs, max(1, len(tasks)))
-        return {"backend": self.name, "workers": n_workers,
-                "n_tasks": len(tasks),
-                "shards": self._shard_plan(tasks, ctx, n_workers)}
 
     def close(self) -> None:
         pass    # pools are scoped to run_tasks attempts

@@ -5,8 +5,8 @@ There is one store.  Its unit is a task payload
 :class:`~repro.core.registry.CellPlan`, or ``result.to_dict()`` for an
 experiment without a plan.  A plan-less experiment is one cell,
 ``(exp_id, None)``, so its cached result *is* the entry at index
-``None``: the socket workers' cell entry and the experiment-level
-entry are one file with one value.
+``None``: the cell entry and the experiment-level entry are one file
+with one value.
 
 Entries live under ``<root>/cells/<key>.json``, where ``key`` is
 :func:`cell_key`, the SHA-256 of:
@@ -62,8 +62,8 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: path (two processes are already distinguished by pid).
 _TMP_SEQ = itertools.count()
 
-#: Cell-cache keys arrive over the wire from workers and become file
-#: names; only a bare SHA-256 hex digest is ever a valid key.
+#: Cell-cache keys are read back from journal records on disk and
+#: become file names; only a bare SHA-256 hex digest is ever a valid key.
 _KEY_RE = re.compile(r"\A[0-9a-f]{64}\Z")   # \Z: "$" would admit "...\n"
 
 
@@ -129,11 +129,8 @@ def cell_key(exp_id: str, quick: bool, index: Optional[int]) -> str:
 class CellCache:
     """Content-addressed store of task payloads under ``<root>/cells/``.
 
-    This is also the store behind the remote-cache protocol: socket
-    workers ``CACHE_GET`` a key before computing and ``CACHE_PUT`` what
-    they computed, the coordinator answers from (and publishes to) this
-    directory, and a payload any worker computed is a hit for every
-    other worker of this and every later sweep.
+    The run journal keeps its task payloads in one of these too, so
+    ``--resume`` reloads exactly the bytes each task produced.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):

@@ -13,7 +13,7 @@ plan       the run's identity: experiment ids, quick/full, fault and
            flow specs, backend, task list, and the **plan digest**
            (a SHA-256 over ids + flags + package version + per-
            experiment source digests) that ``--resume`` must match
-lease      a task grant (task key, worker, lease id, attempt)
+lease      a task grant (task key, worker, attempt)
 result     a task completed; ``key`` addresses its payload in the
            journal's cell cache
 error      a task failed on a worker (message, for post-mortems)
@@ -39,6 +39,15 @@ cached payload execute again.  Because every backend executes the same
 idempotent task body and the scheduler assembles in request order, the
 resumed store is byte-identical to an uninterrupted run — the resume
 wall in ``tests/test_exp_journal.py`` pins exactly that.
+
+Crash points
+------------
+:func:`maybe_crash` is the SIGKILL hook that wall drives: set
+``REPRO_EXP_CRASH_POINT=<point>[:N]`` and the process kills itself
+(``SIGKILL``, no cleanup, exactly like a power cut) the ``N``-th time
+that named point is reached.  The wall kills the run at each of
+:data:`CRASH_POINTS` and proves ``--resume`` completes it
+byte-identically.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -54,13 +64,51 @@ from typing import Dict, List, Optional, Sequence, Union
 from .cache import CellCache, source_digest
 
 __all__ = ["DEFAULT_JOURNAL_DIR", "JournalError", "ResumeError",
-           "RunJournal", "plan_digest", "new_run_id"]
+           "RunJournal", "plan_digest", "new_run_id", "CRASH_POINT_ENV",
+           "CRASH_POINTS", "maybe_crash", "reset_crash_counts"]
 
 #: Journals live next to the result cache by default.
 DEFAULT_JOURNAL_DIR = ".repro-cache/journal"
 
 #: Run ids become file names; keep them boring.
 _RUN_ID_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
+
+
+#: ``point[:N]`` — SIGKILL this process the N-th time ``point`` is hit.
+CRASH_POINT_ENV = "REPRO_EXP_CRASH_POINT"
+
+#: The named points :func:`maybe_crash` understands.
+CRASH_POINTS = ("journal.plan", "backend.lease", "journal.result",
+                "scheduler.finalize")
+
+_crash_hits: Dict[str, int] = {}
+
+
+def maybe_crash(point: str) -> None:
+    """SIGKILL this process if ``REPRO_EXP_CRASH_POINT`` names ``point``.
+
+    The spec is ``point`` or ``point:N`` (die on the N-th hit, default
+    the first).  SIGKILL is deliberate: no atexit, no finally blocks,
+    no flushes — exactly the failure ``--resume`` must survive.
+    """
+    spec = os.environ.get(CRASH_POINT_ENV)
+    if not spec:
+        return
+    name, _, nth = spec.partition(":")
+    if name != point:
+        return
+    _crash_hits[point] = _crash_hits.get(point, 0) + 1
+    try:
+        target = int(nth) if nth else 1
+    except ValueError:
+        target = 1
+    if _crash_hits[point] >= target:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def reset_crash_counts() -> None:
+    """Forget crash-point hit counts (test isolation)."""
+    _crash_hits.clear()
 
 
 class JournalError(Exception):

@@ -1,15 +1,18 @@
-"""Lease bookkeeping for distributed task execution.
+"""Lease bookkeeping and shard placement for distributed task execution.
 
-A **lease** is the unit of at-least-once delivery: the coordinator
+No backend in the tree uses this module: it was the socket backend's
+lease table, and the socket backend is retired (DESIGN §5f).  It stays,
+self-contained and unit-tested, until the next change to ``repro.exp``
+removes it together with its tests (ROADMAP).
+
+A **lease** is the unit of at-least-once delivery: a coordinator
 grants one task to one worker for a bounded wall-clock window, the
 worker renews it with heartbeats while computing, and a lease whose
 deadline passes — or whose worker's connection dies — returns its task
-to the pending queue for **reassignment**.  This generalises the PR-3
-retry machinery (fresh-pool rebuilds after a SIGKILLed pool worker)
-into something transport-agnostic: the pool backend retries by
-attempts, the socket backend by leases, and both converge on the same
-byte-identical store because tasks are idempotent and results are
-assembled in request order regardless of who finally computed them.
+to the pending queue for **reassignment**.  Reassigned tasks converge
+on the same byte-identical store because tasks are idempotent and
+results are assembled in request order regardless of who finally
+computed them.
 
 Two very different failure kinds get very different budgets:
 
@@ -22,8 +25,8 @@ Two very different failure kinds get very different budgets:
   :meth:`exhausted_tasks` — mirroring ``--retries`` for the pool path.
 
 The table is deliberately free of I/O and of direct clock reads: the
-caller injects ``now`` values (the socket backend passes
-``time.monotonic()``, the chaos tests pass a hand-cranked fake), which
+caller injects ``now`` values (a live coordinator would pass
+``time.monotonic()``, the tests pass a hand-cranked fake), which
 keeps every state transition — grant, renew, expire, complete,
 duplicate, stale heartbeat — unit-testable without sockets or sleeps.
 
@@ -42,12 +45,38 @@ are deterministic, so whichever copy arrives first is the same bytes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .planner import Task
+from .planner import Task, task_key
 
-__all__ = ["Lease", "LeaseTable"]
+__all__ = ["Lease", "LeaseTable", "shard_of", "plan_shards"]
+
+
+def shard_of(task: Task, n_shards: int) -> int:
+    """Stable shard slot of ``task`` among ``n_shards``.
+
+    SHA-256 of the cell key, reduced mod ``n_shards``: independent of
+    worker arrival order, process boundaries and ``PYTHONHASHSEED``.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    digest = hashlib.sha256(task_key(task).encode()).digest()
+    return int.from_bytes(digest[:8], "big") % n_shards
+
+
+def plan_shards(tasks: Sequence[Task], n_shards: int) -> List[List[Task]]:
+    """Tasks grouped by shard slot, request order preserved per shard.
+
+    A pure function of (task set, shard count): shuffling the worker
+    arrival order — or calling this twice — cannot change it.  A shard
+    is what :meth:`LeaseTable.issue` takes as ``prefer_shard``.
+    """
+    shards: List[List[Task]] = [[] for _ in range(n_shards)]
+    for task in tasks:
+        shards[shard_of(task, n_shards)].append(task)
+    return shards
 
 
 @dataclass

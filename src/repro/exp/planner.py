@@ -1,4 +1,4 @@
-"""Task planning for the experiment engine: decomposition and sharding.
+"""Task planning for the experiment engine: decomposition and the task body.
 
 The scheduler used to own three jobs at once — deciding *what* the
 units of work are, *where* they run, and *how* failures are retried.
@@ -10,28 +10,14 @@ This module is the first job, pulled out so every execution backend
 * :func:`build_tasks` decomposes a run into tasks in request order,
   which is also the order results are assembled in — backends may
   complete tasks in any order at all;
-* :func:`shard_of` assigns a task to one of ``n_shards`` slots by a
-  **stable hash of the cell key** (SHA-256 of ``"exp_id#index"``).  The
-  assignment depends only on the task identity and the shard count —
-  never on worker arrival order, hostnames, or Python's randomized
-  ``hash()`` — so two coordinators planning the same sweep for the same
-  worker count produce the identical plan;
 * :func:`run_task` is the one true task body: every backend (the local
-  backend, in this process or in pool workers, and socket workers on
-  other hosts) executes exactly this function, which is what makes
-  their outputs byte-identical.
-
-Determinism note: sharding decides *placement*, not *results*.  Results
-are reassembled in request order by the scheduler whatever the
-placement was, so stores are byte-identical for any worker count — the
-stable shard hash additionally makes the placement itself reproducible
-for operational tooling (dry-run plans, lease logs).
+  backend, in this process or in pool workers) executes exactly this
+  function, which is what makes their outputs byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import signal
 import threading
 from dataclasses import dataclass
@@ -39,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import registry
 
-__all__ = ["Task", "RunContext", "task_key", "build_tasks", "shard_of",
-           "plan_shards", "run_task"]
+__all__ = ["Task", "RunContext", "task_key", "build_tasks", "run_task"]
 
 #: One unit of backend work: ``(exp_id, cell_index-or-None)``.
 Task = Tuple[str, Optional[int]]
@@ -56,8 +41,8 @@ def task_key(task: Task) -> str:
 class RunContext:
     """Everything a worker needs to execute a task faithfully.
 
-    Shipped verbatim to socket workers in the WELCOME message, so it
-    must stay JSON-representable.
+    Pool workers receive it in its JSON-ready wire form
+    (:meth:`to_wire`) and decode it once per process.
     """
 
     quick: bool = True
@@ -98,32 +83,7 @@ def build_tasks(exp_ids: Sequence[str], quick: bool) -> List[Task]:
     return tasks
 
 
-def shard_of(task: Task, n_shards: int) -> int:
-    """Stable shard slot of ``task`` among ``n_shards``.
-
-    SHA-256 of the cell key, reduced mod ``n_shards``: independent of
-    worker arrival order, process boundaries and ``PYTHONHASHSEED``.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    digest = hashlib.sha256(task_key(task).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % n_shards
-
-
-def plan_shards(tasks: Sequence[Task], n_shards: int) -> List[List[Task]]:
-    """Tasks grouped by shard slot, request order preserved per shard.
-
-    A pure function of (task set, shard count): shuffling the worker
-    arrival order — or calling this twice — cannot change it.
-    """
-    shards: List[List[Task]] = [[] for _ in range(n_shards)]
-    for task in tasks:
-        shards[shard_of(task, n_shards)].append(task)
-    return shards
-
-
-# -- the one true task body (runs in this process, in pool workers and in
-#    socket workers) ------------------------------------------------------
+# -- the one true task body (runs in this process and in pool workers) ----
 
 def _raise_timeout(signum, frame):
     raise TimeoutError("experiment task exceeded its time budget")
@@ -172,8 +132,8 @@ def run_task(task: Task, ctx: RunContext):
 
     The payload is JSON-representable by construction — the result's
     ``to_dict()`` for whole experiments, the plain row list for cells —
-    so it crosses process and host boundaries without losing a byte,
-    and it is exactly what the cell cache stores.
+    so it crosses process boundaries without losing a byte, and it is
+    exactly what the cell cache stores.
     """
     exp_id, index = task
     with worker_env(ctx.faults_spec, ctx.timeout_s, ctx.flow_mode):

@@ -1,5 +1,10 @@
 """Length-prefixed JSON message protocol for distributed execution.
 
+No backend in the tree speaks this protocol: it was the socket
+backend's wire format, and the socket backend is retired (DESIGN §5f).
+The codec stays, self-contained and unit-tested, until the next change
+to ``repro.exp`` removes it together with its tests (ROADMAP).
+
 One frame = a 4-byte big-endian length followed by that many bytes of
 canonical UTF-8 JSON (an object with a ``"type"`` key).  The message
 vocabulary is deliberately tiny — the transport layering follows the

@@ -10,9 +10,9 @@ backend-independent:
 * **delegation** — hand the task list to an execution backend
   (:mod:`repro.exp.backends`): the
   :class:`~repro.exp.backends.LocalPoolBackend` (the default; in this
-  process for one worker, a process pool for more), socket workers
-  across hosts, or a dry run.  There is one task path: ``--jobs 1`` is
-  the local backend with one worker, not a separate serial loop;
+  process for one worker, a process pool for more) or a dry run.
+  There is one task path: ``--jobs 1`` is the local backend with one
+  worker, not a separate serial loop;
 * **assembly** — reassemble outcomes in request order, finalize and
   cache each experiment incrementally, merge metrics snapshots
   deterministically, and apply ``keep_going``.
@@ -48,17 +48,16 @@ Long sweeps survive misbehaving workers:
   (``SIGALRM``), so a runaway simulation surfaces as a
   :class:`TimeoutError` result instead of wedging the backend;
 * worker death is the backend's business — the local backend rebuilds
-  a fresh pool and resubmits unfinished tasks, the socket backend
-  expires the dead worker's leases and reassigns them — and either
-  way completed results are never recomputed;
+  a fresh pool and resubmits unfinished tasks — and completed results
+  are never recomputed;
 * ``keep_going=True`` converts a permanently failing experiment into an
   :class:`ExperimentFailure` entry (appended to ``failures``) while
   every unaffected experiment still completes and caches;
 * results are cached **incrementally**, as soon as each experiment
   finalizes, so an interrupted sweep resumes from what it finished.
 
-Crash safety (PR 8)
--------------------
+Crash safety
+------------
 ``journal_dir`` arms the write-ahead :class:`~repro.exp.journal.RunJournal`:
 the plan, every lease grant and every task result are fsync'd to disk
 *before* the scheduler acts on them, and task payloads are persisted in
@@ -69,20 +68,11 @@ closed with :class:`~repro.exp.journal.ResumeError`), journaled results
 are reloaded, and only tasks without a journaled + cached payload
 execute again — producing a store byte-identical to an uninterrupted
 run, with skipped/re-executed counts observable via :mod:`repro.obs`.
-
-``chaos_spec`` arms a seeded :class:`~repro.exp.chaos.ChaosPlan` proxy
-between the socket coordinator and its workers (socket backend only —
-anything else raises ``ValueError``); ``connect_budget_s`` bounds the
-wait for the first worker handshake, after which an *owned* socket
-backend degrades gracefully: a warning on stderr, an
-``exp/backend_fallbacks`` counter, and the sweep finishes on the local
-backend.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -91,12 +81,10 @@ from ..core import registry
 from ..core.registry import ExperimentResult
 from ..faults.context import activated
 from ..flow.context import activated as flow_activated
-from .backends import (ExecutionBackend, LocalPoolBackend, NoWorkersError,
-                       SocketWorkerBackend, create_backend)
+from .backends import ExecutionBackend, create_backend
 from .cache import ResultCache, cell_key
-from .chaos import ChaosError, ChaosPlan, maybe_crash
 from .journal import (DEFAULT_JOURNAL_DIR, ResumeError, RunJournal,
-                      plan_digest)
+                      maybe_crash, plan_digest)
 from .planner import RunContext, Task, build_tasks, task_key
 
 __all__ = ["run_experiments", "ExperimentFailure"]
@@ -124,15 +112,9 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                     faults_spec: Optional[str] = None,
                     flow_mode: Optional[str] = None,
                     backend: Union[str, ExecutionBackend, None] = None,
-                    workers: Optional[int] = None,
-                    listen: Optional[str] = None,
-                    cell_cache_dir: Optional[str] = None,
-                    chaos_spec: Optional[str] = None,
                     journal_dir: Optional[str] = None,
                     journal_id: Optional[str] = None,
                     resume: Optional[str] = None,
-                    connect_budget_s: Optional[float] = None,
-                    pipeline: Optional[int] = None,
                     ) -> List[ExperimentResult]:
     """Run experiments, optionally cached, in parallel, and hardened.
 
@@ -145,18 +127,13 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
 
     ``backend`` selects the execution backend: ``None`` means
     ``"local"`` (in this process when ``min(jobs, n_tasks) == 1``, a
-    process pool otherwise); ``"local"``/``"socket"``/``"dryrun"`` — or
-    a ready-made :class:`~repro.exp.backends.ExecutionBackend` instance,
-    which the caller then owns and closes — force one explicitly.
-    ``workers`` sizes socket/dry-run fan-out (default: ``jobs``);
-    ``listen`` makes the socket backend wait for externally started
-    ``repro worker`` processes instead of spawning local ones;
-    ``cell_cache_dir`` enables the shared remote cell cache.
+    process pool otherwise); ``"local"``/``"dryrun"`` — or a ready-made
+    :class:`~repro.exp.backends.ExecutionBackend` instance, which the
+    caller then owns and closes — force one explicitly.
 
     ``timeout_s`` bounds each task's wall clock; ``retries`` re-runs
-    *failed* tasks (with ``backoff_s * 2**attempt`` sleeps on the local
-    backend).  Worker death is not a task failure: backends
-    reassign such tasks without consuming the retry budget.  With
+    *failed* tasks (with ``backoff_s * 2**attempt`` sleeps between
+    attempts).  With
     ``keep_going`` a permanently failed experiment is skipped — an
     :class:`ExperimentFailure` is appended to ``failures`` (when given)
     and the remaining experiments still run; without it every other
@@ -170,18 +147,10 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
     acceleration (:mod:`repro.flow`): ``"auto"``/``"on"`` are keyed
     into the cache, ``"off"``/``None`` keep the clean packet-mode key.
 
-    ``chaos_spec`` arms a :class:`~repro.exp.chaos.ChaosPlan` on the
-    wire (socket backend only; never changes result bytes, so it is not
-    keyed into any cache).  ``journal_dir``/``journal_id`` arm the
-    write-ahead run journal; ``resume`` continues a journaled run by id
-    — its plan (ids, quick, fault/flow specs) is adopted from the
-    journal and its digest verified, so ``ids`` may be left empty.
-    ``connect_budget_s`` bounds the socket backend's wait for a first
-    worker handshake; when the scheduler owns the backend it then falls
-    back to the local backend with a warning instead of failing the sweep.
-    ``pipeline`` forces the socket backend's credit-based lease window
-    (``--pipeline N``); by default the window derives from the grid
-    size, degrading to stop-and-wait on tiny grids.
+    ``journal_dir``/``journal_id`` arm the write-ahead run journal;
+    ``resume`` continues a journaled run by id — its plan (ids, quick,
+    fault/flow specs) is adopted from the journal and its digest
+    verified, so ``ids`` may be left empty.
     """
     journal: Optional[RunJournal] = None
     plan_rec: Optional[Dict] = None
@@ -210,15 +179,6 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
         raise ValueError(f"retries must be >= 0, got {retries}")
     backend_name = (backend.name if isinstance(backend, ExecutionBackend)
                     else backend)
-    if chaos_spec:
-        ChaosPlan.parse(chaos_spec)     # fail fast on a bad spec
-        if isinstance(backend, ExecutionBackend):
-            raise ChaosError("chaos_spec applies to backends the "
-                             "scheduler creates; pass chaos= to your "
-                             "SocketWorkerBackend instead")
-        if backend_name != "socket":
-            raise ChaosError("--chaos requires --backend socket (it "
-                             "injects into the coordinator/worker wire)")
     journaling = (journal is not None or journal_dir is not None
                   or journal_id is not None)
     with activated(faults_spec), flow_activated(flow_mode):
@@ -270,40 +230,14 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
         if isinstance(backend, ExecutionBackend):
             exec_backend, owned = backend, False
         else:
-            exec_backend = create_backend(
-                backend or "local", jobs=n_jobs, workers=workers,
-                listen=listen, cache_dir=cell_cache_dir, chaos=chaos_spec,
-                connect_budget_s=connect_budget_s, pipeline=pipeline)
+            exec_backend = create_backend(backend or "local", jobs=n_jobs)
             owned = True
         if journal is not None:
             exec_backend.attach_journal(journal)
         try:
-            try:
-                _run_backend(exec_backend, to_run, quick, tasks, preloaded,
-                             results, cache, ctx, parent_registry,
-                             keep_going, failed, journal)
-            except NoWorkersError as exc:
-                if not (owned and isinstance(exec_backend,
-                                             SocketWorkerBackend)):
-                    raise
-                # graceful degradation: no worker ever joined (and no
-                # outcome was produced), so the local backend can finish
-                # the sweep without double execution
-                print(f"repro: {exc}; falling back to the local "
-                      f"backend", file=sys.stderr)
-                if parent_registry is not None:
-                    parent_registry.counter("exp", "backend_fallbacks",
-                                            wanted="socket").inc()
-                exec_backend.close()
-                fallback = LocalPoolBackend(jobs=n_jobs)
-                if journal is not None:
-                    fallback.attach_journal(journal)
-                try:
-                    _run_backend(fallback, to_run, quick, tasks, preloaded,
-                                 results, cache, ctx, parent_registry,
-                                 keep_going, failed, journal)
-                finally:
-                    fallback.close()
+            _run_backend(exec_backend, to_run, quick, tasks, preloaded,
+                         results, cache, ctx, parent_registry,
+                         keep_going, failed, journal)
         finally:
             if owned:
                 exec_backend.close()

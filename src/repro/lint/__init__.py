@@ -17,9 +17,12 @@ Rule families:
   callbacks are not generators, hot-path records declare
   ``__slots__``, no container mutation during its own iteration.
 * **PAR** — cross-file parity: flow models read only real profile
-  fields and name their packet twins, backends implement the full
-  protocol surface, the harness times durations monotonically, and
-  every wire frame type has a fail-closed decode fixture.
+  fields and name their packet twins, and the experiment harness times
+  durations monotonically.
+* **CON** — concurrency discipline: attributes shared with a spawned
+  thread are written under one common lock, nothing blocks while a
+  lock is held, a bare ``acquire()`` is released in ``finally``, and
+  no daemon thread mutates module state next to a fork-based pool.
 
 See ``python -m repro.lint --list-rules`` for the full table, and the
 README "Static analysis" section for suppression syntax.

@@ -221,7 +221,6 @@ class LintEngine:
     # -- entry point -----------------------------------------------------
     def run(self, files: Sequence[Path],
             root: Optional[Path] = None) -> LintReport:
-        from .project import ProjectIndex
         root = root or Path.cwd()
         contexts: Dict[str, FileContext] = {}
         supps: Dict[str, SuppressionSet] = {}
@@ -260,9 +259,8 @@ class LintEngine:
 
         # Project rules see every file and always run: their verdicts
         # depend on *pairs* of files, which a per-file digest cannot key.
-        index = ProjectIndex(contexts)
         for rule in self._project_rules():
-            for v in rule.check_project(contexts, index):
+            for v in rule.check_project(contexts):
                 supp = supps.get(v.path)
                 if supp is None or not supp.is_suppressed(v.rule, v.line):
                     violations.append(v)

@@ -1,20 +1,12 @@
-"""Shared project symbol-table pass: thread model + call-graph reach.
+"""Shared symbol-table helpers: thread model, import resolution, anchors.
 
-PR 10 adds two rule families that both need to answer the same
-questions about a module before they can say anything useful:
-
-* which functions run on a spawned thread?  (``CON`` needs the split
-  between thread context and main-thread context to reason about
-  shared attributes and lock discipline);
-* where do imports actually point, and which file in the lint set is
-  the protocol / worker / coordinator anchor?  (``WIRE`` extracts one
-  frame state machine per endpoint and compares them).
-
-Rather than each rule re-walking the AST with its own half of the
-answer, this module builds the answers once.  The engine constructs a
-single :class:`ProjectIndex` per run and hands it to every
-project-scope rule; file-scope rules call :func:`thread_model`
-directly (results are memoised on the :class:`FileContext`).
+The CON rules need to know which functions run on a spawned thread
+(the split between thread context and main-thread context is what
+lets them reason about shared attributes and lock discipline); the
+PAR rules need to know where imports actually point and which file in
+the lint set is an anchor such as ``repro/calibration.py``.  This
+module answers both once; thread models are memoised on the
+:class:`FileContext`.
 
 Thread-entry inference
 ----------------------
@@ -38,9 +30,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .engine import FileContext
 
-__all__ = ["ProjectIndex", "ThreadModel", "FunctionInfo", "thread_model",
-           "find_file", "module_parts", "resolve_imports", "dotted_name",
-           "frozenset_strings", "global_assign", "is_lockish",
+__all__ = ["ThreadModel", "FunctionInfo", "thread_model", "find_file",
+           "module_parts", "resolve_imports", "dotted_name", "is_lockish",
            "FUNC_NODES", "LOCK_FACTORIES", "THREADSAFE_FACTORIES"]
 
 FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -124,39 +115,6 @@ def is_lockish(dotted: Optional[str]) -> bool:
         return False
     tail = dotted.rsplit(".", 1)[-1].lower()
     return "lock" in tail or "mutex" in tail
-
-
-def frozenset_strings(node: ast.AST) -> Optional[List[str]]:
-    """String elements of a ``frozenset({...})`` / ``frozenset([...])``
-    literal, or ``None`` when the value is not that shape."""
-    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "frozenset" and len(node.args) == 1
-            and not node.keywords):
-        return None
-    arg = node.args[0]
-    if not isinstance(arg, (ast.Set, ast.List, ast.Tuple)):
-        return None
-    out: List[str] = []
-    for elt in arg.elts:
-        if not (isinstance(elt, ast.Constant)
-                and isinstance(elt.value, str)):
-            return None
-        out.append(elt.value)
-    return out
-
-
-def global_assign(ctx: FileContext, name: str) -> Optional[ast.AST]:
-    """The module-level ``name = ...`` statement, if any."""
-    for node in ctx.tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
-                for t in node.targets):
-            return node
-        if (isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == name and node.value is not None):
-            return node
-    return None
 
 
 # -- per-module thread model ---------------------------------------------
@@ -380,38 +338,3 @@ def thread_model(ctx: FileContext) -> ThreadModel:
         model = ThreadModel(ctx)
         ctx._thread_model = model
     return model
-
-
-# -- whole-run index -----------------------------------------------------
-
-class ProjectIndex:
-    """One-per-run view of the lint set for project-scope rules.
-
-    Wraps the ``files`` dict the engine already builds and memoises the
-    expensive per-module answers (thread models, resolved imports) so
-    CON, WIRE and PAR rules share one symbol-table pass instead of
-    three.
-    """
-
-    def __init__(self, files: Dict[str, FileContext]):
-        self.files = files
-        self._imports: Dict[str, Dict[str, List[str]]] = {}
-
-    def find(self, suffix: str) -> Optional[FileContext]:
-        return find_file(self.files, suffix)
-
-    def thread_model(self, ctx: FileContext) -> ThreadModel:
-        return thread_model(ctx)
-
-    def imports(self, ctx: FileContext) -> Dict[str, List[str]]:
-        table = self._imports.get(ctx.rel)
-        if table is None:
-            table = resolve_imports(ctx)
-            self._imports[ctx.rel] = table
-        return table
-
-    def sorted_contexts(self) -> Iterator[FileContext]:
-        for rel in sorted(self.files):
-            ctx = self.files[rel]
-            if ctx.tree is not None:
-                yield ctx

@@ -44,17 +44,13 @@ class Rule:
         """Yield violations for one file (``file``-scope rules)."""
         return iter(())
 
-    def check_project(self, files: Dict[str, "FileContext"],
-                      index=None) -> Iterator[Violation]:
+    def check_project(self, files: Dict[str, "FileContext"]
+                      ) -> Iterator[Violation]:
         """Yield violations over the whole file set (``project`` scope).
 
         ``files`` maps the engine's posix-style relative path to its
         parsed context; rules locate anchors by path suffix so the same
         code works for ``src/repro/...`` trees and test fixtures.
-        ``index`` is the engine's shared
-        :class:`~repro.lint.project.ProjectIndex` (memoised thread
-        models and import tables); rules must tolerate ``None`` and
-        build their own for direct invocation in tests.
         """
         return iter(())
 
@@ -113,7 +109,7 @@ def load_builtin_rules() -> None:
     global _LOADED
     if _LOADED:
         return
-    from .rules import con, det, par, sim, wire  # noqa: F401  (import = register)
+    from .rules import con, det, par, sim  # noqa: F401  (import = register)
     _LOADED = True
 
 

@@ -1,11 +1,10 @@
 """CON — concurrency-discipline rules.
 
-PRs 7–9 made the harness genuinely concurrent: a heartbeat thread
-shares the worker's socket behind ``_Link.lock``, the chaos proxy runs
-an accept thread plus one relay thread per direction, and the local
-backend parks a daemon watchdog next to a fork-based process pool.
-Those PRs hand-verified their lock discipline in review; these rules
-re-verify it on every lint run, using the per-module thread model from
+The harness runs threads next to processes: the local backend parks
+a daemon watchdog thread next to a fork-based process pool, and the
+cell cache must stay safe for concurrent writers.  These rules verify
+the lock discipline of such code on every lint run, using the
+per-module thread model from
 :mod:`repro.lint.project` (``threading.Thread(target=...)`` entries
 plus bare-name call-graph closure).
 

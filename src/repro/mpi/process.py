@@ -112,6 +112,11 @@ class MPIProcess:
         self.ctx = VerbsContext(node)
         self.send_cq: CompletionQueue = self.ctx.create_cq(f"mpi{rank}.scq")
         self.recv_cq: CompletionQueue = self.ctx.create_cq(f"mpi{rank}.rcq")
+        # The receive ring is ``recv_ring`` identical bounce buffers per
+        # connection, so one descriptor serves every slot of every ring
+        # and each replenish re-posts it.  Its wr_id cannot collide with
+        # a send's: sends complete on ``send_cq``, receives on ``recv_cq``.
+        self._ring_wr = RecvWR(_HUGE)
         self.cpu = Resource(self.sim, capacity=1)
         self._qps: Dict[int, RCQueuePair] = {}
         self._qpn_to_rank: Dict[int, int] = {}
@@ -153,7 +158,7 @@ class MPIProcess:
     def _register(self, peer_rank: int, qp: RCQueuePair) -> None:
         self._qps[peer_rank] = qp
         self._qpn_to_rank[qp.qpn] = peer_rank
-        qp.post_recv(RecvWR(_HUGE), self.tuning.recv_ring)
+        qp.post_recv(self._ring_wr, self.tuning.recv_ring)
 
     # -- non-blocking API ---------------------------------------------------
     def isend(self, dst: int, size: int, tag: int = 0,
@@ -280,7 +285,7 @@ class MPIProcess:
         while True:
             wc = yield self.recv_cq.wait()
             qp = self.node.hca.qp(wc.qp_num)
-            qp.post_recv(RecvWR(_HUGE))  # replenish the ring
+            qp.post_recv(self._ring_wr)  # replenish the ring
             if wc.imm is not None:
                 _fin, rreq_id = wc.imm
                 rreq = self._rndv_recvs.pop(rreq_id)

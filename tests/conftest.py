@@ -11,20 +11,10 @@ seconds); override with the ``REPRO_TEST_TIMEOUT_S`` environment
 variable, ``0`` disabling the alarm entirely.  On platforms without
 ``SIGALRM`` (or off the main thread) tests simply run unbounded, as
 before.
-
-The distributed-backend suite (``tests/test_exp_backends.py``) adds a
-second failure mode the alarm alone cannot always convert: a blocking
-socket operation on a thread *other than* the main one (worker threads,
-heartbeats) never feels ``SIGALRM``.  So the same budget is also
-installed as the process-wide default socket timeout — any socket a
-test (or code under test) creates without an explicit timeout gives up
-with ``socket.timeout`` before the alarm would have fired, instead of
-wedging a non-main thread forever.
 """
 
 import os
 import signal
-import socket
 import threading
 
 import pytest
@@ -42,19 +32,11 @@ def _timeout_s() -> float:
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     budget = _timeout_s()
-    # Bound blocking socket ops too (threads never see SIGALRM): any
-    # socket created without an explicit timeout inherits the budget.
-    old_socket_default = socket.getdefaulttimeout()
-    if budget > 0:
-        socket.setdefaulttimeout(budget)
     usable = (budget > 0 and hasattr(signal, "SIGALRM")
               and hasattr(signal, "setitimer")
               and threading.current_thread() is threading.main_thread())
     if not usable:
-        try:
-            yield
-        finally:
-            socket.setdefaulttimeout(old_socket_default)
+        yield
         return
 
     def _expired(signum, frame):
@@ -68,4 +50,3 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, *old_timer)
         signal.signal(signal.SIGALRM, old_handler)
-        socket.setdefaulttimeout(old_socket_default)

@@ -219,7 +219,7 @@ def test_crash_mid_write_leaves_cache_recoverable(cache, warm,
     assert again.exists()
 
 
-# -- CellCache: the store behind ResultCache and the socket workers ----------
+# -- CellCache: the store behind ResultCache and the run journal -----------
 
 @pytest.fixture
 def cells(tmp_path):
@@ -254,8 +254,9 @@ def test_cell_key_ingredients(cells):
     "0" * 64 + "\n",
 ])
 def test_cell_wire_keys_are_validated(cells, evil):
-    """Keys arrive over the wire; anything but a bare SHA-256 hex digest
-    is rejected (load: silent miss, save: ValueError) — never a path."""
+    """Keys are read back from journal records; anything but a bare
+    SHA-256 hex digest is rejected (load: silent miss, save:
+    ValueError) — never a path."""
     with pytest.raises(ValueError):
         cells.path_of(evil)
     assert cells.load(evil) is None

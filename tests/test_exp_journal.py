@@ -8,13 +8,11 @@ Three layers:
   journaled plan, skips journaled tasks, re-executes the rest, and
   produces results byte-identical to an uninterrupted run (counted via
   ``repro.obs``);
-* the crash wall — a coordinator SIGKILLed *at named journaled points*
+* the crash wall — a run SIGKILLed *at each named crash point*
   (via ``REPRO_EXP_CRASH_POINT``) is resumed through the CLI and must
-  reproduce the uninterrupted store byte for byte, on both the local
-  and the socket backend.
+  reproduce the uninterrupted store byte for byte.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -25,8 +23,9 @@ import pytest
 
 from repro.cli import main
 from repro.exp import run_experiments, write_jsonl
-from repro.exp.journal import (JournalError, ResumeError, RunJournal,
-                               new_run_id, plan_digest)
+from repro.exp.journal import (CRASH_POINTS, JournalError, ResumeError,
+                               RunJournal, maybe_crash, new_run_id,
+                               plan_digest, reset_crash_counts)
 from repro.obs import MetricsRegistry, use_registry
 
 IDS = ["table1", "fig04a"]          # 1 single-shot + 3 cells = 4 tasks
@@ -260,27 +259,24 @@ def test_resume_without_plan_record_fails_closed(tmp_path):
         run_experiments(resume="empty", journal_dir=str(tmp_path))
 
 
-def test_socket_backend_journals_the_same_store(tmp_path):
-    local = run_experiments(IDS, quick=True, jobs=2)
-    socket_run = run_experiments(IDS, quick=True, jobs=2,
-                                 backend="socket", workers=2,
-                                 journal_dir=str(tmp_path),
-                                 journal_id="sock")
-    assert (_result_bytes(socket_run, tmp_path, "s.jsonl")
-            == _result_bytes(local, tmp_path, "l.jsonl"))
-    journal = RunJournal.resume(tmp_path, "sock")
-    kinds = [r["type"] for r in journal.records()]
-    assert kinds.count("result") == N_TASKS
-    # Socket lease records carry real worker ids, not the pool stub.
-    workers = {r["worker"] for r in journal.records()
-               if r["type"] == "lease"}
-    assert workers and "pool" not in workers
-    journal.close()
-
-
 # ---------------------------------------------------------------------------
 # the crash wall: SIGKILL at named points, resume via the CLI
 # ---------------------------------------------------------------------------
+
+def test_maybe_crash_ignores_other_points_and_counts_hits(monkeypatch):
+    reset_crash_counts()
+    monkeypatch.setenv("REPRO_EXP_CRASH_POINT", "journal.plan:3")
+    maybe_crash("journal.result")       # different point: untouched
+    maybe_crash("journal.plan")         # hit 1 of 3: survives
+    maybe_crash("journal.plan")         # hit 2 of 3: survives
+    reset_crash_counts()
+
+
+def test_maybe_crash_is_inert_without_the_env(monkeypatch):
+    monkeypatch.delenv("REPRO_EXP_CRASH_POINT", raising=False)
+    for point in CRASH_POINTS:
+        maybe_crash(point)
+
 
 def _cli(args, env_extra=None, timeout=110):
     env = dict(os.environ)
@@ -303,8 +299,7 @@ def baseline_bytes(tmp_path_factory):
     ("local", "journal.plan"),
     ("local", "journal.result:2"),
     ("local", "scheduler.finalize"),
-    ("socket", "backend.lease:2"),
-    ("socket", "journal.result"),
+    ("local", "backend.lease:2"),
 ])
 def test_sigkilled_coordinator_resumes_byte_identical(
         tmp_path, baseline_bytes, backend, crash_point):
@@ -313,8 +308,6 @@ def test_sigkilled_coordinator_resumes_byte_identical(
     args = ["experiments", *IDS, "--jobs", "2",
             "--journal-dir", str(tmp_path), "--journal-id", run_id,
             "--out", str(out)]
-    if backend == "socket":
-        args += ["--backend", "socket", "--workers", "2"]
     crashed = _cli(args, {"REPRO_EXP_CRASH_POINT": crash_point})
     assert crashed.returncode == -signal.SIGKILL, crashed.stderr
     assert not out.exists(), "the store must not exist half-written"
@@ -330,37 +323,6 @@ def test_sigkilled_coordinator_resumes_byte_identical(
     assert len(resumes) == 1
     assert resumes[0]["skipped"] + resumes[0]["reexecuted"] == N_TASKS
     # Only unjournaled tasks re-executed: result records are unique.
-    result_tasks = [r["task"] for r in records if r["type"] == "result"]
-    assert sorted(result_tasks) == sorted(set(result_tasks))
-    assert len(result_tasks) == N_TASKS
-    assert records[-1]["type"] == "end"
-    journal.close()
-
-
-def test_sigkilled_pipelined_run_resumes_byte_identical(tmp_path,
-                                                        baseline_bytes):
-    """The crash wall over the credit-pipelined wire: a coordinator
-    killed with a full lease window in flight resumes to the same
-    bytes — journaled results are skipped, in-flight ones re-executed."""
-    run_id = "crash-socket-pipelined"
-    out = tmp_path / "out.jsonl"
-    crashed = _cli(
-        ["experiments", *IDS, "--jobs", "2", "--backend", "socket",
-         "--workers", "2", "--pipeline", "4",
-         "--journal-dir", str(tmp_path), "--journal-id", run_id,
-         "--out", str(out)],
-        {"REPRO_EXP_CRASH_POINT": "journal.result:2",
-         # orphaned workers must give up quickly, not hold the port
-         "REPRO_EXP_CONNECT_BUDGET_S": "5"})
-    assert crashed.returncode == -signal.SIGKILL, crashed.stderr
-    assert not out.exists()
-
-    resumed = _cli(["experiments", "--resume", run_id,
-                    "--journal-dir", str(tmp_path), "--out", str(out)])
-    assert resumed.returncode == 0, resumed.stderr
-    assert out.read_bytes() == baseline_bytes
-    journal = RunJournal.resume(tmp_path, run_id)
-    records = journal.records()
     result_tasks = [r["task"] for r in records if r["type"] == "result"]
     assert sorted(result_tasks) == sorted(set(result_tasks))
     assert len(result_tasks) == N_TASKS

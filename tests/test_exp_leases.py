@@ -1,7 +1,9 @@
 """Lease-boundary edge wall for :mod:`repro.exp.leases`.
 
-The LeaseTable takes injected ``now`` values, so every boundary the
-chaos wall can only *provoke* is pinned here exactly:
+The LeaseTable takes injected ``now`` values, so every boundary a
+live coordinator could only *provoke* is pinned here exactly.  No
+backend uses the table since the socket backend was retired; this wall
+goes when the module does.
 
 * a heartbeat arriving exactly at the deadline, in both orderings
   (renew-then-sweep and sweep-then-renew);
@@ -107,8 +109,8 @@ def test_requeue_after_expiry_keeps_request_order():
 
 def _journaled_run(tmp_path, race: str) -> RunJournal:
     """Drive a LeaseTable through ``race`` while journaling like the
-    socket backend does: lease records at grant, result records at
-    first completion only (the backend never journals duplicates)."""
+    retired socket backend did: lease records at grant, result records
+    at first completion only (duplicates are never journaled)."""
     journal = RunJournal.create(tmp_path, f"race-{race}")
     table = LeaseTable(TASKS[:1], lease_timeout_s=10.0)
     task = TASKS[0]

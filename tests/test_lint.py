@@ -30,13 +30,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 load_builtin_rules()
 
-#: rule id -> fixture stem; PAR/WIRE rules use whole fixture trees
+#: rule id -> fixture stem; PAR rules use whole fixture trees
 #: instead.
 FILE_RULES = ["DET101", "DET102", "DET103", "DET104", "DET105",
               "SIM201", "SIM202", "SIM203", "SIM204",
               "CON401", "CON402", "CON403", "CON404"]
-PAR_RULES = ["PAR303", "PAR304", "PAR305", "PAR306", "PAR307"]
-WIRE_RULES = ["WIRE501", "WIRE502", "WIRE503", "WIRE504"]
+PAR_RULES = ["PAR303", "PAR304", "PAR306"]
+#: rules deleted with the code they guarded; they must stay gone
+RETIRED_RULES = ["PAR301", "PAR302", "PAR305", "PAR307",
+                 "WIRE501", "WIRE502", "WIRE503", "WIRE504"]
 
 
 def lint_paths(*paths, select=None, ignore=(), cache=None, root=None):
@@ -65,9 +67,7 @@ def test_good_fixture_is_clean(rule):
 
 @pytest.mark.parametrize("tree,rule", [("par303_bad", "PAR303"),
                                        ("par304_bad", "PAR304"),
-                                       ("par305_bad", "PAR305"),
-                                       ("par306_bad", "PAR306"),
-                                       ("par307_bad", "PAR307")])
+                                       ("par306_bad", "PAR306")])
 def test_par_bad_tree_triggers_exactly_its_rule(tree, rule):
     report = lint_paths(FIXTURES / tree, root=FIXTURES / tree)
     assert report.violations
@@ -114,25 +114,6 @@ def test_par304_skips_resolution_without_package_root(tmp_path):
     assert report.violations == []
 
 
-def test_par305_catches_missing_method_drift_and_nameless():
-    report = lint_paths(FIXTURES / "par305_bad",
-                        root=FIXTURES / "par305_bad", select=["PAR305"])
-    messages = "\n".join(v.message for v in report.violations)
-    assert "implements no 'close'" in messages     # incomplete surface
-    assert "signature" in messages                 # run_tasks drift
-    assert "`name` class" in messages              # registry attr missing
-    assert len(report.violations) == 3
-
-
-def test_par305_silent_without_base_in_lint_set():
-    # Linting only the backend module (base outside the file set) must
-    # not guess at the abstract surface.
-    report = lint_paths(
-        FIXTURES / "par305_bad" / "repro" / "exp" / "backends" / "stub.py",
-        root=FIXTURES / "par305_bad", select=["PAR305"])
-    assert report.violations == []
-
-
 def test_par306_names_every_banned_clock():
     report = lint_paths(FIXTURES / "par306_bad",
                         root=FIXTURES / "par306_bad", select=["PAR306"])
@@ -154,27 +135,10 @@ def test_par306_only_polices_the_exp_package(tmp_path):
     assert report.violations == []
 
 
-def test_par307_names_the_uncovered_frame_type():
-    report = lint_paths(FIXTURES / "par307_bad",
-                        root=FIXTURES / "par307_bad", select=["PAR307"])
-    assert len(report.violations) == 1
-    assert "'PING'" in report.violations[0].message
-    assert "FAIL_CLOSED_FIXTURES" in report.violations[0].message
-
-
-def test_par307_silent_without_protocol_in_lint_set(tmp_path):
-    # A tree with no repro/exp/protocol.py has no vocabulary to check.
-    mod = tmp_path / "repro" / "exp" / "other.py"
-    mod.parent.mkdir(parents=True)
-    mod.write_text("X = 1\n")
-    report = lint_paths(mod, root=tmp_path, select=["PAR307"])
-    assert report.violations == []
-
-
 def test_at_least_eight_rules_have_fixture_coverage():
     # The acceptance bar: >= 8 distinct rules demonstrably catch their
-    # bad fixture.  13 file rules + 9 project rules are covered above.
-    assert len(FILE_RULES) + len(PAR_RULES) + len(WIRE_RULES) >= 8
+    # bad fixture.  13 file rules + 3 PAR rules are covered above.
+    assert len(FILE_RULES) + len(PAR_RULES) >= 8
 
 
 # ---------------------------------------------------------------------------
@@ -250,126 +214,6 @@ def test_con404_silent_without_a_pool(tmp_path):
         "def start():\n"
         "    threading.Thread(target=_watch, daemon=True).start()\n"))
     assert lint_paths(mod, select=["CON404"]).violations == []
-
-
-# ---------------------------------------------------------------------------
-# WIRE trees
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tree,rule", [("wire501_bad", "WIRE501"),
-                                       ("wire502_bad", "WIRE502"),
-                                       ("wire503_bad", "WIRE503"),
-                                       ("wire504_bad", "WIRE504")])
-def test_wire_bad_tree_triggers_exactly_its_rule(tree, rule):
-    report = lint_paths(FIXTURES / tree, root=FIXTURES / tree)
-    assert report.violations
-    assert {v.rule for v in report.violations} == {rule}
-
-
-def test_wire_good_tree_is_clean():
-    report = lint_paths(FIXTURES / "wire_good",
-                        root=FIXTURES / "wire_good")
-    assert report.violations == []
-
-
-def test_wire501_names_the_orphan_frame_type():
-    report = lint_paths(FIXTURES / "wire501_bad",
-                        root=FIXTURES / "wire501_bad", select=["WIRE501"])
-    messages = "\n".join(v.message for v in report.violations)
-    assert "'PING'" in messages
-    assert "never dispatches" in messages        # sent but unhandled
-    assert "no dispatch arm in either" in messages  # vocab orphan
-    assert len(report.violations) == 2
-
-
-def test_wire502_names_the_function_and_types():
-    report = lint_paths(FIXTURES / "wire502_bad",
-                        root=FIXTURES / "wire502_bad", select=["WIRE502"])
-    assert len(report.violations) == 1
-    msg = report.violations[0].message
-    assert "`run`" in msg and "BYE" in msg and "WELCOME" in msg
-
-
-def test_wire503_catches_unvalidated_path_and_validator_clears_it():
-    report = lint_paths(FIXTURES / "wire503_bad",
-                        root=FIXTURES / "wire503_bad", select=["WIRE503"])
-    assert len(report.violations) == 1
-    assert "filesystem" in report.violations[0].message
-    # The good tree differs only by routing through valid_key().
-    clean = lint_paths(FIXTURES / "wire_good",
-                       root=FIXTURES / "wire_good", select=["WIRE503"])
-    assert clean.violations == []
-
-
-def test_wire504_names_field_and_version():
-    report = lint_paths(FIXTURES / "wire504_bad",
-                        root=FIXTURES / "wire504_bad", select=["WIRE504"])
-    assert len(report.violations) == 1
-    msg = report.violations[0].message
-    assert "'resume'" in msg and "protocol v2" in msg
-
-
-def test_wire_rules_silent_without_both_endpoints(tmp_path):
-    # WIRE501 needs protocol + worker + coordinator in the lint set;
-    # a protocol-only run must not produce phantom duality findings.
-    report = lint_paths(
-        FIXTURES / "wire501_bad" / "repro" / "exp" / "protocol.py",
-        root=FIXTURES / "wire501_bad", select=["WIRE"])
-    assert report.violations == []
-
-
-def test_deleting_a_coordinator_handler_breaks_the_gate(tmp_path):
-    """Acceptance criterion: removing any `_handle` dispatch branch in
-    backends/socket.py makes `python -m repro.lint` exit nonzero."""
-    exp = tmp_path / "repro" / "exp"
-    (exp / "backends").mkdir(parents=True)
-    real = REPO_ROOT / "src" / "repro" / "exp"
-    (exp / "protocol.py").write_text(
-        (real / "protocol.py").read_text())
-    (exp / "worker.py").write_text((real / "worker.py").read_text())
-    # Renaming the comparison constant is equivalent to deleting the
-    # HEARTBEAT dispatch branch: the arm no longer matches the frame.
-    coord = (real / "backends" / "socket.py").read_text()
-    assert '== "HEARTBEAT"' in coord
-    (exp / "backends" / "socket.py").write_text(
-        coord.replace('== "HEARTBEAT"', '== "HEARTBEAT_X"'))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path,
-        env=_pythonpath_env())
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "WIRE501" in proc.stdout
-
-
-def test_deleting_a_worker_handler_breaks_the_gate(tmp_path):
-    """Acceptance criterion, worker side: removing the CACHE handler
-    from worker.py trips WIRE501 on the coordinator's sends."""
-    exp = tmp_path / "repro" / "exp"
-    (exp / "backends").mkdir(parents=True)
-    real = REPO_ROOT / "src" / "repro" / "exp"
-    (exp / "protocol.py").write_text(
-        (real / "protocol.py").read_text())
-    (exp / "backends" / "socket.py").write_text(
-        (real / "backends" / "socket.py").read_text())
-    worker = (real / "worker.py").read_text()
-    assert '== "CACHE"' in worker
-    (exp / "worker.py").write_text(
-        worker.replace('== "CACHE"', '== "CACHE_X"'))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path,
-        env=_pythonpath_env())
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "WIRE501" in proc.stdout
-
-
-def _pythonpath_env():
-    import os
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                         if env.get("PYTHONPATH") else src)
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +310,17 @@ def test_unknown_rule_in_file_pragma_reports_lnt002(tmp_path):
 def test_project_rule_suppressed_from_its_anchor_file(tmp_path):
     # Project-scope findings honour suppressions in the file the
     # violation anchors to, same as file-scope rules.
-    tree = tmp_path / "wire502"
-    shutil.copytree(FIXTURES / "wire502_bad", tree)
-    worker = tree / "repro" / "exp" / "worker.py"
-    text = worker.read_text()
-    assert "def run(" in text
-    worker.write_text(text.replace(
-        "def run(",
-        "# repro-lint: disable=WIRE502 -- fall-through is this "
-        "fixture's point\ndef run(", 1))
-    report = lint_paths(tree, root=tree, select=["WIRE502"])
+    tree = tmp_path / "par303"
+    shutil.copytree(FIXTURES / "par303_bad", tree)
+    model = tree / "repro" / "flow" / "analytic.py"
+    text = model.read_text()
+    line = "    per_byte = 8.0 / profile.wire_rate\n"
+    assert line in text
+    model.write_text(text.replace(
+        line,
+        "    # repro-lint: disable=PAR303 -- the stale field is this "
+        "fixture's point\n" + line, 1))
+    report = lint_paths(tree, root=tree, select=["PAR303"])
     assert report.violations == []
 
 
@@ -552,10 +397,9 @@ def test_cli_list_rules(tmp_path):
         [sys.executable, "-m", "repro.lint", "--list-rules"],
         capture_output=True, text=True, cwd=REPO_ROOT)
     assert proc.returncode == 0
-    for rid in (FILE_RULES + PAR_RULES + WIRE_RULES
-                + ["LNT001", "LNT002", "LNT003"]):
+    for rid in FILE_RULES + PAR_RULES + ["LNT001", "LNT002", "LNT003"]:
         assert rid in proc.stdout
-    for retired in ("PAR301", "PAR302"):
+    for retired in RETIRED_RULES:
         assert retired not in proc.stdout
 
 
@@ -730,7 +574,8 @@ def test_sarif_clean_run_still_lists_all_rules(tmp_path):
     assert run["results"] == []
     ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
     assert ids == list(RULES)
-    assert "PAR301" not in ids and "PAR302" not in ids
+    for retired in RETIRED_RULES:
+        assert retired not in ids
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +588,7 @@ def test_jobs_output_is_byte_identical_to_serial():
     argv = (str(FIXTURES / "con401_bad.py"),
             str(FIXTURES / "con402_bad.py"),
             str(FIXTURES / "det101_bad.py"),
-            str(FIXTURES / "wire502_bad"),
+            str(FIXTURES / "par304_bad"),
             "--format", "json")
     serial = _lint_cli(*argv, "--jobs", "1")
     pooled = _lint_cli(*argv, "--jobs", "2")
