@@ -111,27 +111,30 @@ def _cmd_iozone(args) -> int:
 def _cmd_experiments(args) -> int:
     import json
 
-    from .core.registry import UnknownExperimentError
+    from .core.registry import UnknownExperimentError, resolve_ids
     from .exp import DryRunBackend, ResultCache, run_experiments, write_jsonl
-    from .exp.journal import JournalError, new_run_id
+    from .exp.journal import (DEFAULT_JOURNAL_DIR, JournalError,
+                              ResumeError, RunJournal, new_run_id)
     cache = ResultCache(args.cache_dir) if args.cache else None
-    backend = args.backend
-    dryrun = None
-    if backend == "dryrun":
-        backend = dryrun = DryRunBackend()
-    # Settle the run id here so scripts can capture it (stderr, before
-    # any work happens) and pass it back to --resume after a crash.
-    journal_id = args.journal_id
-    if args.resume is None and (args.journal or args.journal_dir
-                                or journal_id):
-        if journal_id is None:
-            journal_id = new_run_id()
-        print(f"repro: journaling run {journal_id} under "
-              f"{args.journal_dir or '.repro-cache/journal'}",
-              file=sys.stderr)
-    journaling = args.resume is not None or journal_id is not None
+    dryrun = DryRunBackend() if args.backend == "dryrun" else None
+    journal_dir = args.journal_dir or DEFAULT_JOURNAL_DIR
     failures = []
     try:
+        journal = None
+        if args.resume is not None:
+            journal = RunJournal.resume(journal_dir, args.resume)
+            if journal.plan_record() is None:
+                raise ResumeError(f"journal {args.resume!r} has no plan "
+                                  f"record — the run died before "
+                                  f"planning; rerun it from scratch")
+        elif args.journal or args.journal_dir or args.journal_id:
+            journal_id = args.journal_id or new_run_id()
+            # Print the run id before any work happens, so scripts can
+            # capture it and pass it back to --resume after a crash.
+            print(f"repro: journaling run {journal_id} under "
+                  f"{journal_dir}", file=sys.stderr)
+            resolve_ids(args.ids)   # an unknown id leaves no journal
+            journal = RunJournal.create(journal_dir, journal_id)
         results = run_experiments(ids=args.ids, quick=not args.full,
                                   jobs=args.jobs, cache=cache,
                                   timeout_s=args.timeout,
@@ -140,11 +143,7 @@ def _cmd_experiments(args) -> int:
                                   failures=failures,
                                   faults_spec=args.faults,
                                   flow_mode=args.flow,
-                                  backend=backend,
-                                  journal_dir=(args.journal_dir
-                                               if journaling else None),
-                                  journal_id=journal_id,
-                                  resume=args.resume)
+                                  backend=dryrun, journal=journal)
     except (UnknownExperimentError, JournalError) as exc:
         print(f"repro experiments: {exc}", file=sys.stderr)
         return 2
@@ -174,6 +173,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "into the cache")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-task wall-clock budget; overruns fail the task")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", type=_non_negative_int, default=0,
                    help="retry failed/crashed tasks this many times "
                         "(default: %(default)s)")
     p.add_argument("--keep-going", action="store_true",

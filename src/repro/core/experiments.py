@@ -16,10 +16,10 @@ why ``--jobs N`` output is byte-identical to a serial run.
 
 Run everything from the command line::
 
-    python -m repro.core.experiments            # quick sweeps
-    python -m repro.core.experiments --full     # full sweeps
-    python -m repro.core.experiments fig05a fig13b
-    python -m repro.core.experiments --jobs 4   # parallel engine
+    python -m repro.cli experiments             # quick sweeps
+    python -m repro.cli experiments --full      # full sweeps
+    python -m repro.cli experiments fig05a fig13b
+    python -m repro.cli experiments --jobs 4    # worker processes
 """
 
 from __future__ import annotations
@@ -831,37 +831,3 @@ def _flt02(quick):
     return ["scenario", "goodput_mb_s", "retransmissions", "qp_errors",
             "reconnects", "wan_drops"], rows, \
         "retry-budget exhaustion -> QP error -> reconnect -> traffic resumes"
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-def main(argv=None):
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("ids", nargs="*", help="experiment ids (default all)")
-    parser.add_argument("--full", action="store_true",
-                        help="full sweeps instead of quick ones")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1 = in-process)")
-    parser.add_argument("--flow", choices=["auto", "on", "off"],
-                        default=None,
-                        help="flow-level acceleration for bulk sweeps "
-                             "(default packet mode)")
-    args = parser.parse_args(argv)
-    from ..flow.context import activated as flow_activated
-    with flow_activated(args.flow):
-        if args.jobs > 1:
-            from ..exp import run_experiments
-            results = run_experiments(ids=args.ids, quick=not args.full,
-                                      jobs=args.jobs, flow_mode=args.flow)
-        else:
-            results = run_all(quick=not args.full, ids=args.ids)
-    for res in results:
-        print(res.to_text())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,8 @@ Composable, individually testable pieces:
   body every backend executes;
 * :mod:`repro.exp.backends` — where tasks run: the local backend
   (default; in this process for one worker, a process pool for more),
-  or a dry run that only plans;
+  or a dry run that only plans.  A backend is one method,
+  ``run_tasks``, and the scheduler takes it as an instance;
 * :mod:`repro.exp.cache` — :class:`CellCache`, the one on-disk
   content-addressed store of task payloads, keyed on experiment id +
   cell index + quick/full flag + package version + source digest;
@@ -22,12 +23,9 @@ Composable, individually testable pieces:
 * :mod:`repro.exp.store` — a JSON-lines results store that
   EXPERIMENTS.md-style tables are rendered from;
 * :mod:`repro.exp.journal` — the durable write-ahead run journal
-  behind ``--resume`` (:class:`RunJournal`) and the crash-point hook
-  its wall drives.
-
-:mod:`repro.exp.leases` and :mod:`repro.exp.protocol` are what is left
-of the retired socket backend: no module imports them, and they go in
-the next change together with their unit tests.
+  behind ``--journal``/``--resume`` (:class:`RunJournal`; the caller
+  opens it and hands it to :func:`run_experiments`) and the
+  crash-point hook its wall drives.
 
 Typical use (what ``repro experiments --jobs 4 --cache --out r.jsonl``
 does)::
@@ -38,8 +36,8 @@ does)::
     write_jsonl("r.jsonl", results)
 """
 
-from .backends import (BACKENDS, DryRunBackend, ExecutionBackend,
-                       LocalPoolBackend, TaskOutcome, create_backend)
+from .backends import (DryRunBackend, ExecutionBackend, LocalPoolBackend,
+                       TaskOutcome)
 from .cache import DEFAULT_CACHE_DIR, CellCache, ResultCache, source_digest
 from .journal import JournalError, ResumeError, RunJournal, plan_digest
 from .scheduler import ExperimentFailure, run_experiments
@@ -49,5 +47,5 @@ __all__ = ["run_experiments", "ExperimentFailure", "ResultCache",
            "CellCache", "DEFAULT_CACHE_DIR", "source_digest",
            "write_jsonl", "read_jsonl", "iter_jsonl", "render_store",
            "ExecutionBackend", "TaskOutcome", "LocalPoolBackend",
-           "DryRunBackend", "BACKENDS", "create_backend", "JournalError",
-           "ResumeError", "RunJournal", "plan_digest"]
+           "DryRunBackend", "JournalError", "ResumeError", "RunJournal",
+           "plan_digest"]

@@ -8,14 +8,11 @@ semantics — stays in :mod:`repro.exp.scheduler`, identical for every
 backend, which is what the conformance wall
 (``tests/test_exp_backends.py``) pins.
 
-The surface every backend implements:
-
-* :meth:`run_tasks` — a generator yielding exactly one final
-  :class:`TaskOutcome` per task, in any order.  Retries and pool
-  rebuilds are the backend's private business; by the time an outcome
-  is yielded it is final.
-* :meth:`close` — release external resources.  Idempotent; the
-  scheduler always calls it.
+The whole surface is one method, :meth:`~ExecutionBackend.run_tasks`:
+a generator yielding exactly one final :class:`TaskOutcome` per task,
+in any order.  Retries and pool rebuilds are the backend's private
+business; by the time an outcome is yielded it is final.  A backend
+holds nothing open between runs, so there is nothing to close.
 
 Backends report operational counters in ``self.stats`` (a plain dict,
 always on) and mirror them into :mod:`repro.obs` via :meth:`_count`
@@ -59,7 +56,8 @@ class TaskOutcome:
 class ExecutionBackend(ABC):
     """Where tasks run: this process, a process pool, or nowhere."""
 
-    #: registry key (``--backend <name>``); set by every subclass.
+    #: ``--backend <name>``, also recorded in the journal's plan
+    #: record; set by every subclass.
     name: str = ""
 
     def __init__(self) -> None:
@@ -72,10 +70,6 @@ class ExecutionBackend(ABC):
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
         """Yield one final :class:`TaskOutcome` per task, any order."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release external resources; idempotent."""
 
     # -- shared helpers -------------------------------------------------
     def attach_journal(self, journal) -> None:
@@ -90,12 +84,6 @@ class ExecutionBackend(ABC):
     def _journal_event(self, record: Dict) -> None:
         if self.journal is not None:
             self.journal.append(record)
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _bump(self, stat: str, amount: int = 1) -> None:
         self.stats[stat] = self.stats.get(stat, 0) + amount

@@ -44,6 +44,3 @@ class DryRunBackend(ExecutionBackend):
         self._count("tasks_planned", len(tasks))
         for task in tasks:
             yield TaskOutcome(task, planned=True)
-
-    def close(self) -> None:
-        pass

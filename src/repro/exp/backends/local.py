@@ -11,17 +11,16 @@ With more, tasks fan out to a
 :class:`~concurrent.futures.ProcessPoolExecutor`, and a worker that
 dies outright (OOM kill, segfault) breaks the pool — so each retry
 attempt rebuilds a **fresh pool** and resubmits only the unfinished
-tasks.  The :class:`~repro.exp.planner.RunContext` is decoded from its
-wire form **once per worker process** — in the pool initializer, not
-per submitted task — and tasks are submitted in chunks so a
+tasks.  The :class:`~repro.exp.planner.RunContext` reaches each worker
+process **once**, pickled into the pool initializer rather than into
+every submitted task, and tasks are submitted in chunks so a
 many-tiny-cell grid pays one pickle/unpickle round trip per chunk
-instead of per cell.  ``ctx_decodes`` records the per-pid decode count
-observed by each chunk; the conformance wall asserts it is exactly 1
-everywhere.
+instead of per cell.
 
-Both ways share one retry loop (exponential backoff, lease journaling
-per attempt) and one per-task capture, :func:`_run_each`: a failure is
-caught per task, so one bad cell cannot take the tasks after it down.
+Both ways share one retry loop (exponential backoff from
+:data:`BACKOFF_S`, lease journaling per attempt) and one per-task
+capture, :func:`_run_each`: a failure is caught per task, so one bad
+cell cannot take the tasks after it down.
 Completed tasks are never recomputed; a task still failing after the
 attempt budget is yielded as a failed outcome and the scheduler
 decides (raise vs ``keep_going``).  Pool results are collected in
@@ -37,22 +36,25 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..journal import maybe_crash
 from ..planner import RunContext, Task, run_task, task_key
 from .base import ExecutionBackend, TaskOutcome
 
-__all__ = ["LocalPoolBackend"]
+__all__ = ["LocalPoolBackend", "BACKOFF_S"]
 
-#: Per-worker-process state, populated exactly once by the pool
-#: initializer: the decoded run context and how many times it was
-#: decoded in this process (the conformance wall pins that at 1).
-_POOL_STATE: Dict[str, object] = {"ctx": None, "decodes": 0}
+#: Sleep before the first retry attempt, in seconds; it doubles with
+#: every further attempt.
+BACKOFF_S = 0.5
+
+#: The run context of this pool worker process, set once by
+#: :func:`_pool_init`.
+_POOL_CTX: Optional[RunContext] = None
 
 
-def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
-    """Per-process setup: parent watchdog + one-time context decode.
+def _pool_init(parent_pid: int, ctx: RunContext) -> None:
+    """Per-process setup: parent watchdog + the process-wide context.
 
     The watchdog exits the pool worker promptly if the coordinator
     dies: a coordinator killed hard (crash points, OOM, operator
@@ -60,12 +62,9 @@ def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
     write ends, so they never see EOF and would idle forever, holding
     the coordinator's stdio pipes open.  A watchdog thread turns that
     into a fast, silent exit.
-
-    The context decode here is the warm-worker fast path: every task
-    this process ever runs shares one decoded
-    :class:`~repro.exp.planner.RunContext` instead of rebuilding it
-    from the wire dict per submit.
     """
+    global _POOL_CTX
+
     def watch() -> None:
         while True:
             if os.getppid() != parent_pid:
@@ -73,8 +72,7 @@ def _pool_init(parent_pid: int, wire_ctx: Dict) -> None:
             time.sleep(0.5)
     threading.Thread(target=watch, daemon=True,
                      name="parent-watchdog").start()
-    _POOL_STATE["ctx"] = RunContext.from_wire(wire_ctx)
-    _POOL_STATE["decodes"] = int(_POOL_STATE.get("decodes", 0)) + 1
+    _POOL_CTX = ctx
 
 
 def _run_each(tasks: Sequence[Task], ctx: RunContext) -> Iterator[Tuple]:
@@ -89,15 +87,12 @@ def _run_each(tasks: Sequence[Task], ctx: RunContext) -> Iterator[Tuple]:
             yield ("ok", payload, snapshot)
 
 
-def _pool_chunk(chunk: List[Task]) -> Tuple[int, int, List[Tuple]]:
-    """Run a chunk of tasks against the process-wide decoded context;
-    returns ``(pid, decode_count, entries)``."""
-    ctx = _POOL_STATE.get("ctx")
-    if not isinstance(ctx, RunContext):
+def _pool_chunk(chunk: List[Task]) -> List[Tuple]:
+    """Run a chunk of tasks against the process-wide context."""
+    if _POOL_CTX is None:
         raise RuntimeError("pool worker was not initialized with a "
                            "RunContext")
-    return (os.getpid(), int(_POOL_STATE.get("decodes", 0)),
-            list(_run_each(chunk, ctx)))
+    return list(_run_each(chunk, _POOL_CTX))
 
 
 class LocalPoolBackend(ExecutionBackend):
@@ -110,9 +105,6 @@ class LocalPoolBackend(ExecutionBackend):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        #: pid → RunContext decode count observed by that worker's
-        #: chunks (the once-per-process test asserts every value is 1)
-        self.ctx_decodes: Dict[int, int] = {}
 
     def run_tasks(self, tasks: Sequence[Task],
                   ctx: RunContext) -> Iterator[TaskOutcome]:
@@ -123,7 +115,7 @@ class LocalPoolBackend(ExecutionBackend):
         attempts = 0
         while pending and attempts <= ctx.retries:
             if attempts:
-                time.sleep(ctx.backoff_s * 2 ** (attempts - 1))
+                time.sleep(BACKOFF_S * 2 ** (attempts - 1))
                 count("pool_rebuilds")
             errors = {}
             for task in pending:
@@ -166,19 +158,14 @@ class LocalPoolBackend(ExecutionBackend):
                   for i in range(0, len(pending), chunk_size)]
         with ProcessPoolExecutor(
                 max_workers=max_workers, initializer=_pool_init,
-                initargs=(os.getpid(), ctx.to_wire())) as pool:
+                initargs=(os.getpid(), ctx)) as pool:
             futures = [(chunk, pool.submit(_pool_chunk, chunk))
                        for chunk in chunks]
             for chunk, future in futures:
                 try:
-                    pid, decodes, entries = future.result()
+                    entries = future.result()
                 except (Exception, BrokenProcessPool) as exc:
                     for task in chunk:      # the pool died under it
                         yield task, ("err", exc)
                     continue
-                self.ctx_decodes[pid] = max(self.ctx_decodes.get(pid, 0),
-                                            decodes)
                 yield from zip(chunk, entries)
-
-    def close(self) -> None:
-        pass    # pools are scoped to run_tasks attempts

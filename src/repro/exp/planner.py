@@ -21,7 +21,7 @@ import contextlib
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core import registry
 
@@ -41,8 +41,8 @@ def task_key(task: Task) -> str:
 class RunContext:
     """Everything a worker needs to execute a task faithfully.
 
-    Pool workers receive it in its JSON-ready wire form
-    (:meth:`to_wire`) and decode it once per process.
+    Pool workers receive it once per process, pickled into the pool
+    initializer.
     """
 
     quick: bool = True
@@ -51,20 +51,6 @@ class RunContext:
     timeout_s: Optional[float] = None
     flow_mode: Optional[str] = None
     retries: int = 0
-    backoff_s: float = 0.5
-
-    def to_wire(self) -> Dict:
-        return {"quick": self.quick, "observe": self.observe,
-                "faults": self.faults_spec, "timeout_s": self.timeout_s,
-                "flow": self.flow_mode}
-
-    @classmethod
-    def from_wire(cls, data: Dict) -> "RunContext":
-        return cls(quick=bool(data.get("quick", True)),
-                   observe=bool(data.get("observe", False)),
-                   faults_spec=data.get("faults"),
-                   timeout_s=data.get("timeout_s"),
-                   flow_mode=data.get("flow"))
 
 
 def build_tasks(exp_ids: Sequence[str], quick: bool) -> List[Task]:

@@ -58,33 +58,34 @@ Long sweeps survive misbehaving workers:
 
 Crash safety
 ------------
-``journal_dir`` arms the write-ahead :class:`~repro.exp.journal.RunJournal`:
-the plan, every lease grant and every task result are fsync'd to disk
-*before* the scheduler acts on them, and task payloads are persisted in
-the journal's content-addressed cell cache.  ``resume=RUN_ID`` then
-survives even a coordinator SIGKILL: the journaled plan is adopted (and
-its digest verified — resuming into changed sources/versions fails
-closed with :class:`~repro.exp.journal.ResumeError`), journaled results
-are reloaded, and only tasks without a journaled + cached payload
-execute again — producing a store byte-identical to an uninterrupted
-run, with skipped/re-executed counts observable via :mod:`repro.obs`.
+``journal`` arms the write-ahead :class:`~repro.exp.journal.RunJournal`
+the caller opened: the plan, every lease grant and every task result
+are fsync'd to disk *before* the scheduler acts on them, and task
+payloads are persisted in the journal's content-addressed cell cache.
+A journal that already holds a plan record (one reopened with
+:meth:`RunJournal.resume <repro.exp.journal.RunJournal.resume>`) is
+resumed, which survives even a coordinator SIGKILL: the journaled plan
+is adopted (and its digest verified — resuming into changed
+sources/versions fails closed with
+:class:`~repro.exp.journal.ResumeError`), journaled results are
+reloaded, and only tasks without a journaled + cached payload execute
+again — producing a store byte-identical to an uninterrupted run, with
+skipped/re-executed counts observable via :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import registry
 from ..core.registry import ExperimentResult
 from ..faults.context import activated
 from ..flow.context import activated as flow_activated
-from .backends import ExecutionBackend, create_backend
+from .backends import ExecutionBackend, LocalPoolBackend
 from .cache import ResultCache, cell_key
-from .journal import (DEFAULT_JOURNAL_DIR, ResumeError, RunJournal,
-                      maybe_crash, plan_digest)
+from .journal import ResumeError, RunJournal, maybe_crash, plan_digest
 from .planner import RunContext, Task, build_tasks, task_key
 
 __all__ = ["run_experiments", "ExperimentFailure"]
@@ -106,15 +107,13 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                     jobs: Optional[int] = None,
                     cache: Optional[ResultCache] = None, *,
                     timeout_s: Optional[float] = None,
-                    retries: int = 0, backoff_s: float = 0.5,
+                    retries: int = 0,
                     keep_going: bool = False,
                     failures: Optional[List[ExperimentFailure]] = None,
                     faults_spec: Optional[str] = None,
                     flow_mode: Optional[str] = None,
-                    backend: Union[str, ExecutionBackend, None] = None,
-                    journal_dir: Optional[str] = None,
-                    journal_id: Optional[str] = None,
-                    resume: Optional[str] = None,
+                    backend: Optional[ExecutionBackend] = None,
+                    journal: Optional[RunJournal] = None,
                     ) -> List[ExperimentResult]:
     """Run experiments, optionally cached, in parallel, and hardened.
 
@@ -125,15 +124,15 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
     :class:`~repro.core.registry.UnknownExperimentError` before any
     work starts.
 
-    ``backend`` selects the execution backend: ``None`` means
-    ``"local"`` (in this process when ``min(jobs, n_tasks) == 1``, a
-    process pool otherwise); ``"local"``/``"dryrun"`` — or a ready-made
-    :class:`~repro.exp.backends.ExecutionBackend` instance, which the
-    caller then owns and closes — force one explicitly.
+    ``backend`` is the :class:`~repro.exp.backends.ExecutionBackend`
+    to run tasks on; ``None`` means a
+    :class:`~repro.exp.backends.LocalPoolBackend` of ``jobs`` workers
+    (in this process when ``min(jobs, n_tasks) == 1``, a process pool
+    otherwise).
 
     ``timeout_s`` bounds each task's wall clock; ``retries`` re-runs
-    *failed* tasks (with ``backoff_s * 2**attempt`` sleeps between
-    attempts).  With
+    *failed* tasks (with exponentially growing sleeps between
+    attempts, from :data:`repro.exp.backends.local.BACKOFF_S`).  With
     ``keep_going`` a permanently failed experiment is skipped — an
     :class:`ExperimentFailure` is appended to ``failures`` (when given)
     and the remaining experiments still run; without it every other
@@ -147,24 +146,16 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
     acceleration (:mod:`repro.flow`): ``"auto"``/``"on"`` are keyed
     into the cache, ``"off"``/``None`` keep the clean packet-mode key.
 
-    ``journal_dir``/``journal_id`` arm the write-ahead run journal;
-    ``resume`` continues a journaled run by id — its plan (ids, quick,
-    fault/flow specs) is adopted from the journal and its digest
-    verified, so ``ids`` may be left empty.
+    ``journal`` arms the write-ahead run journal; the run appends its
+    end record and closes it.  A journal that already holds a plan
+    record continues that run: its plan (ids, quick, fault/flow specs)
+    is adopted and its digest verified, so ``ids`` may be left empty.
     """
-    journal: Optional[RunJournal] = None
-    plan_rec: Optional[Dict] = None
-    if resume is not None:
-        journal = RunJournal.resume(Path(journal_dir or DEFAULT_JOURNAL_DIR),
-                                    resume)
-        plan_rec = journal.plan_record()
-        if plan_rec is None:
-            raise ResumeError(f"journal {resume!r} has no plan record — "
-                              f"the run died before planning; rerun it "
-                              f"from scratch")
+    plan_rec = journal.plan_record() if journal is not None else None
+    if plan_rec is not None:
         if ids and list(ids) != list(plan_rec["ids"]):
-            raise ResumeError(f"--resume {resume} cannot change the "
-                              f"experiment set (journaled: "
+            raise ResumeError(f"--resume {journal.run_id} cannot change "
+                              f"the experiment set (journaled: "
                               f"{' '.join(plan_rec['ids'])})")
         ids = list(plan_rec["ids"])
         quick = bool(plan_rec["quick"])
@@ -177,17 +168,13 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    backend_name = (backend.name if isinstance(backend, ExecutionBackend)
-                    else backend)
-    journaling = (journal is not None or journal_dir is not None
-                  or journal_id is not None)
     with activated(faults_spec), flow_activated(flow_mode):
-        if resume is not None:
+        if plan_rec is not None:
             digest = plan_digest(keys, quick, faults_spec, flow_mode)
             if digest != plan_rec.get("digest"):
                 raise ResumeError(
-                    f"plan digest mismatch for run {resume!r}: the "
-                    f"experiment sources, package version or specs "
+                    f"plan digest mismatch for run {journal.run_id!r}: "
+                    f"the experiment sources, package version or specs "
                     f"changed since the journal was written — resuming "
                     f"would not reproduce the original bytes")
         results: Dict[str, ExperimentResult] = {}
@@ -198,8 +185,7 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
                 results[exp_id] = cached
             else:
                 to_run.append(exp_id)
-        if not (to_run or journaling
-                or isinstance(backend, ExecutionBackend)):
+        if not (to_run or journal is not None or backend is not None):
             return [results[k] for k in keys]   # all cached: no backend
 
         failed: List[ExperimentFailure] = []
@@ -207,40 +193,30 @@ def run_experiments(ids: Sequence[str] = (), quick: bool = True,
         parent_registry = get_default_registry()
         ctx = RunContext(quick=quick, observe=parent_registry is not None,
                          faults_spec=faults_spec, timeout_s=timeout_s,
-                         flow_mode=flow_mode, retries=retries,
-                         backoff_s=backoff_s)
+                         flow_mode=flow_mode, retries=retries)
         tasks = build_tasks(to_run, quick)
-        n_jobs = min(jobs, max(len(tasks), 1))
+        if backend is None:
+            backend = LocalPoolBackend(jobs=min(jobs, max(len(tasks), 1)))
         preloaded: Dict[Task, Tuple[object, object]] = {}
-        if journaling:
-            if journal is None:
-                journal = RunJournal.create(
-                    Path(journal_dir or DEFAULT_JOURNAL_DIR), journal_id)
+        if journal is not None:
+            if plan_rec is None:
                 journal.append({
                     "type": "plan", "ids": list(keys), "quick": quick,
                     "faults": faults_spec, "flow": flow_mode,
                     "digest": plan_digest(keys, quick, faults_spec,
                                           flow_mode),
-                    "backend": backend_name or "local",
+                    "backend": backend.name,
                     "tasks": [task_key(t) for t in tasks]})
                 maybe_crash("journal.plan")
             else:
                 preloaded = _preload_from_journal(journal, tasks,
                                                   parent_registry)
-        if isinstance(backend, ExecutionBackend):
-            exec_backend, owned = backend, False
-        else:
-            exec_backend = create_backend(backend or "local", jobs=n_jobs)
-            owned = True
-        if journal is not None:
-            exec_backend.attach_journal(journal)
+            backend.attach_journal(journal)
         try:
-            _run_backend(exec_backend, to_run, quick, tasks, preloaded,
+            _run_backend(backend, to_run, quick, tasks, preloaded,
                          results, cache, ctx, parent_registry,
                          keep_going, failed, journal)
         finally:
-            if owned:
-                exec_backend.close()
             if journal is not None:
                 journal.append({"type": "end", "failures": len(failed)})
                 journal.close()

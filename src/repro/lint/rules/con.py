@@ -14,7 +14,7 @@ CON401  an attribute written outside ``__init__`` and touched from
         each write with a different lock is the classic near-miss —
         two locks serialise nothing.
 CON402  blocking calls (``time.sleep``, ``os.fsync``, socket
-        send/recv/accept, protocol frame I/O) while holding a lock:
+        send/recv/accept) while holding a lock:
         every other thread contending for that lock now waits on the
         network, which is how a WAN stall becomes a process stall.
 CON403  bare ``lock.acquire()`` must be immediately followed by
@@ -62,10 +62,6 @@ _BLOCKING_SOCKET_METHODS = {
 
 #: Module-level calls that block outright.
 _BLOCKING_CHAINS = {"time.sleep", "os.fsync"}
-
-#: Frame I/O helpers from the wire protocol: one call is a full
-#: network round of writes or reads.
-_FRAME_IO = {"send_frame", "recv_frame"}
 
 #: Call chains that start a fork-based worker pool (CON404).
 _POOL_CHAINS = {
@@ -227,7 +223,7 @@ class BlockingCallUnderLock(Rule):
     id = "CON402"
     name = "blocking-call-under-lock"
     summary = ("no blocking call (sleep, fsync, socket send/recv/"
-               "accept, frame I/O) while holding a lock — contention "
+               "accept) while holding a lock — contention "
                "turns a network stall into a process stall")
     scope = "file"
 
@@ -267,12 +263,6 @@ class BlockingCallUnderLock(Rule):
             if (func.attr in _BLOCKING_SOCKET_METHODS and base
                     and "sock" in base.rsplit(".", 1)[-1].lower()):
                 return f"socket call `{base}.{func.attr}()` blocks"
-            if func.attr in _FRAME_IO:
-                return f"frame I/O `{func.attr}()` blocks on the wire"
-        if isinstance(func, ast.Name) and func.id in _FRAME_IO:
-            origin = ctx.imports.get(func.id, "")
-            if "protocol" in origin:
-                return f"frame I/O `{func.id}()` blocks on the wire"
         return None
 
 

@@ -1,8 +1,9 @@
 """Error/edge paths of ``repro.cli experiments`` and the new engine flags.
 
-Covers: unknown experiment ids, --jobs validation, --metrics together
-with --jobs > 1, --out JSON-lines output, and --cache round trips —
-all through the real ``main`` entry point.
+Covers: unknown experiment ids, id filtering, --jobs validation,
+--metrics together with --jobs > 1, --out JSON-lines output, --cache
+round trips and the --backend dryrun plan — all through the real
+``main`` entry point.
 """
 
 import json
@@ -33,6 +34,15 @@ def test_bad_jobs_rejected(jobs, capsys):
         main(["experiments", "table1", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_negative_retries_rejected_before_a_journal_opens(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiments", "table1", "--retries", "-1",
+              "--journal-dir", str(tmp_path / "journal")])
+    assert exc.value.code == 2
+    assert "--retries" in capsys.readouterr().err
+    assert not (tmp_path / "journal").exists()
 
 
 def test_metrics_summary_with_parallel_jobs(capsys):
@@ -88,8 +98,26 @@ def test_store_renderer_cli(tmp_path, capsys):
     assert "| distance | one-way delay |" in md
 
 
-def test_module_cli_jobs_flag(capsys):
-    from repro.core.experiments import main as exp_main
-    exp_main(["table1", "ext_dlm", "--jobs", "2"])
+@pytest.mark.parametrize("ids,jobs", [(["table1", "fig03"], "1"),
+                                      (["table1", "ext_dlm"], "2")])
+def test_cli_runs_exactly_the_named_ids(ids, jobs, capsys):
+    assert main(["experiments", *ids, "--jobs", jobs]) == 0
     out = capsys.readouterr().out
-    assert "== table1" in out and "== ext_dlm" in out
+    headers = [line.split()[1].rstrip(":") for line in out.splitlines()
+               if line.startswith("== ")]
+    assert headers == ids
+
+
+def test_dryrun_cli_prints_the_plan_and_runs_nothing(monkeypatch, capsys):
+    from repro.core import registry
+
+    def boom(*args, **kwargs):
+        raise AssertionError("--backend dryrun executed an experiment")
+
+    monkeypatch.setattr(registry, "run_experiment", boom)
+    monkeypatch.setattr(registry, "run_cell", boom)
+    assert main(["experiments", "table1", "fig04a",
+                 "--backend", "dryrun"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["n_tasks"] == 4
+    assert plan["tasks"] == ["table1", "fig04a#0", "fig04a#1", "fig04a#2"]

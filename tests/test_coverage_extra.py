@@ -202,13 +202,6 @@ def test_full_sweep_is_superset_for_fig04a():
     assert quick.columns == full.columns
 
 
-def test_experiments_cli_filter(capsys):
-    from repro.core.experiments import main
-    main(["table1", "fig03"])
-    out = capsys.readouterr().out
-    assert "table1" in out and "fig03" in out and "fig05a" not in out
-
-
 # ---------------------------------------------------------------------------
 # NFS getattr over both transports
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Three layers:
 
 * journal primitives — checksummed append-only records, torn-tail
   truncation, corruption fail-closed, run-id hygiene, plan digests;
-* in-process resume — ``run_experiments(resume=...)`` adopts the
-  journaled plan, skips journaled tasks, re-executes the rest, and
+* in-process resume — ``run_experiments(journal=RunJournal.resume(...))``
+  adopts the journaled plan, skips journaled tasks, re-executes the rest, and
   produces results byte-identical to an uninterrupted run (counted via
   ``repro.obs``);
 * the crash wall — a run SIGKILLed *at each named crash point*
@@ -14,6 +14,7 @@ Three layers:
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -138,7 +139,7 @@ def _result_bytes(results, tmp_path, name):
 
 def test_journaled_run_records_plan_leases_results_end(tmp_path):
     run_experiments(IDS, quick=True, jobs=2,
-                    journal_dir=str(tmp_path), journal_id="full")
+                    journal=RunJournal.create(tmp_path, "full"))
     journal = RunJournal.resume(tmp_path, "full")
     kinds = [r["type"] for r in journal.records()]
     assert kinds[0] == "plan"
@@ -165,8 +166,8 @@ def test_journaled_single_worker_run_stays_in_process(tmp_path,
     monkeypatch.setattr(local, "ProcessPoolExecutor", no_pool)
     plain = run_experiments(IDS, quick=True, jobs=1)
     journaled = run_experiments(IDS, quick=True, jobs=1,
-                                journal_dir=str(tmp_path),
-                                journal_id="inproc")
+                                journal=RunJournal.create(tmp_path,
+                                                          "inproc"))
     assert (_result_bytes(journaled, tmp_path, "j.jsonl")
             == _result_bytes(plain, tmp_path, "p.jsonl"))
     journal = RunJournal.resume(tmp_path, "inproc")
@@ -183,12 +184,11 @@ def test_journaled_single_worker_run_stays_in_process(tmp_path,
 
 def test_resume_of_complete_run_skips_everything(tmp_path):
     baseline = run_experiments(IDS, quick=True, jobs=2,
-                               journal_dir=str(tmp_path),
-                               journal_id="done")
+                               journal=RunJournal.create(tmp_path, "done"))
     reg = MetricsRegistry()
     with use_registry(reg):
-        resumed = run_experiments(resume="done",
-                                  journal_dir=str(tmp_path))
+        resumed = run_experiments(
+            journal=RunJournal.resume(tmp_path, "done"))
     assert (_result_bytes(resumed, tmp_path, "resumed.jsonl")
             == _result_bytes(baseline, tmp_path, "baseline.jsonl"))
     assert reg.get("exp", "resume_tasks", kind="skipped").value == N_TASKS
@@ -198,8 +198,7 @@ def test_resume_of_complete_run_skips_everything(tmp_path):
 
 def test_partial_journal_reexecutes_only_missing_tasks(tmp_path):
     baseline = run_experiments(IDS, quick=True, jobs=2,
-                               journal_dir=str(tmp_path),
-                               journal_id="full2")
+                               journal=RunJournal.create(tmp_path, "full2"))
     full = RunJournal.resume(tmp_path, "full2")
     records = full.records()
     full.close()
@@ -216,8 +215,8 @@ def test_partial_journal_reexecutes_only_missing_tasks(tmp_path):
 
     reg = MetricsRegistry()
     with use_registry(reg):
-        resumed = run_experiments(resume="partial",
-                                  journal_dir=str(tmp_path))
+        resumed = run_experiments(
+            journal=RunJournal.resume(tmp_path, "partial"))
     assert (_result_bytes(resumed, tmp_path, "r.jsonl")
             == _result_bytes(baseline, tmp_path, "b.jsonl"))
     assert reg.get("exp", "resume_tasks", kind="skipped").value == 1
@@ -227,8 +226,8 @@ def test_partial_journal_reexecutes_only_missing_tasks(tmp_path):
     # idempotent and runs nothing.
     reg2 = MetricsRegistry()
     with use_registry(reg2):
-        again = run_experiments(resume="partial",
-                                journal_dir=str(tmp_path))
+        again = run_experiments(
+            journal=RunJournal.resume(tmp_path, "partial"))
     assert (_result_bytes(again, tmp_path, "a.jsonl")
             == _result_bytes(baseline, tmp_path, "b.jsonl"))
     assert reg2.get("exp", "resume_tasks",
@@ -236,11 +235,12 @@ def test_partial_journal_reexecutes_only_missing_tasks(tmp_path):
 
 
 def test_resume_cannot_change_the_experiment_set(tmp_path):
-    run_experiments(IDS, quick=True, jobs=2, journal_dir=str(tmp_path),
-                    journal_id="pinned")
+    run_experiments(IDS, quick=True, jobs=2,
+                    journal=RunJournal.create(tmp_path, "pinned"))
+    journal = RunJournal.resume(tmp_path, "pinned")
     with pytest.raises(ResumeError, match="cannot change"):
-        run_experiments(["fig03"], resume="pinned",
-                        journal_dir=str(tmp_path))
+        run_experiments(["fig03"], journal=journal)
+    journal.close()
 
 
 def test_resume_fails_closed_on_plan_digest_mismatch(tmp_path):
@@ -249,14 +249,22 @@ def test_resume_fails_closed_on_plan_digest_mismatch(tmp_path):
                   "faults": None, "flow": None, "digest": "0" * 64,
                   "backend": "local", "tasks": ["table1"]})
     stale.close()
+    journal = RunJournal.resume(tmp_path, "stale")
     with pytest.raises(ResumeError, match="digest mismatch"):
-        run_experiments(resume="stale", journal_dir=str(tmp_path))
+        run_experiments(journal=journal)
+    journal.close()
 
 
-def test_resume_without_plan_record_fails_closed(tmp_path):
+def test_resume_without_plan_record_fails_closed(tmp_path, capsys):
+    """A run that died before planning cannot be resumed: the CLI
+    refuses where it opens the journal, before any work starts."""
     RunJournal.create(tmp_path, "empty").close()
-    with pytest.raises(ResumeError, match="no plan record"):
-        run_experiments(resume="empty", journal_dir=str(tmp_path))
+    rc = main(["experiments", "--resume", "empty",
+               "--journal-dir", str(tmp_path)])
+    assert rc == 2
+    assert "no plan record" in capsys.readouterr().err
+    assert [r["type"] for r in
+            RunJournal(tmp_path, "empty").records()] == []
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +336,23 @@ def test_sigkilled_coordinator_resumes_byte_identical(
     assert len(result_tasks) == N_TASKS
     assert records[-1]["type"] == "end"
     journal.close()
+
+
+def test_cli_bare_journal_flag_uses_the_default_dir(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiments", "table1", "--journal"]) == 0
+    first = capsys.readouterr()
+    match = re.search(r"^repro: journaling run (\S+)", first.err, re.M)
+    assert match, first.err
+    run_id = match.group(1)
+    root = tmp_path / ".repro-cache" / "journal"
+    assert (root / f"{run_id}.jsonl").is_file()
+    kinds = [r["type"] for r in RunJournal(root, run_id).records()]
+    assert kinds == ["plan", "lease", "result", "end"]
+
+    assert main(["experiments", "--resume", run_id]) == 0
+    assert capsys.readouterr().out == first.out
 
 
 def test_cli_resume_of_unknown_run_exits_2(tmp_path):

@@ -22,6 +22,7 @@ import pytest
 from repro.calibration import KB, MB
 from repro.core import registry as reg
 from repro.exp import ResultCache, run_experiments
+from repro.exp.backends import local
 from repro.fabric import build_cluster, build_cluster_of_clusters
 from repro.faults import DelaySpike, FaultPlan, GilbertElliott, LinkFlap
 from repro.faults.workloads import (fault_profile, run_nfs_goodput,
@@ -462,9 +463,10 @@ def test_serial_retry_recovers_transient_failure(tmp_path, monkeypatch):
     sentinel = tmp_path / "flake-once"
     sentinel.touch()
     monkeypatch.setenv("REPRO_TEST_FLAKY_SENTINEL", str(sentinel))
+    monkeypatch.setattr(local, "BACKOFF_S", 0.01)
     failures = []
     results = run_experiments([_PREFIX + "flaky"], quick=True, jobs=1,
-                              retries=1, backoff_s=0.01, failures=failures)
+                              retries=1, failures=failures)
     assert not failures
     assert results[0].rows == [(3,)]
     assert not sentinel.exists()
@@ -477,10 +479,11 @@ def test_pool_survives_sigkilled_worker(tmp_path, monkeypatch):
     sentinel = tmp_path / "kill-once"
     sentinel.touch()
     monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL", str(sentinel))
+    monkeypatch.setattr(local, "BACKOFF_S", 0.01)
     failures = []
     results = run_experiments([_PREFIX + "kill", _PREFIX + "ok"],
                               quick=True, jobs=2, retries=1,
-                              backoff_s=0.01, failures=failures)
+                              failures=failures)
     assert not failures
     assert not sentinel.exists()
     clean = run_experiments([_PREFIX + "kill", _PREFIX + "ok"],
@@ -488,12 +491,14 @@ def test_pool_survives_sigkilled_worker(tmp_path, monkeypatch):
     assert [r.to_json() for r in results] == [r.to_json() for r in clean]
 
 
-def test_keep_going_reports_failure_and_salvages_the_rest(tmp_path):
+def test_keep_going_reports_failure_and_salvages_the_rest(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(local, "BACKOFF_S", 0.01)
     cache = ResultCache(tmp_path / "cache")
     failures = []
     results = run_experiments([_PREFIX + "fail", _PREFIX + "ok"],
                               quick=True, jobs=2, retries=1,
-                              backoff_s=0.01, keep_going=True,
+                              keep_going=True,
                               failures=failures, cache=cache)
     assert [r.exp_id for r in results] == [_PREFIX + "ok"]
     assert len(failures) == 1
